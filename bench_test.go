@@ -148,38 +148,6 @@ func BenchmarkWardrive(b *testing.B) {
 	}
 }
 
-// BenchmarkWardriveQueue contrasts the timing-wheel scheduler with
-// the legacy binary heap on the same sequential drive — the
-// wheel-vs-heap samples in BENCH_wardrive.json. Observational
-// equivalence (census, telemetry, stream bytes) is asserted by
-// TestQueueHeapWheelDifferential; this measures only wall time.
-func BenchmarkWardriveQueue(b *testing.B) {
-	scale := 1.0
-	if testing.Short() {
-		scale = 0.05
-	}
-	for _, bench := range []struct {
-		name string
-		kind eventsim.QueueKind
-	}{
-		{"wheel", eventsim.QueueWheel},
-		{"heap", eventsim.QueueLegacyHeap},
-	} {
-		b.Run(bench.name, func(b *testing.B) {
-			var total int
-			for i := 0; i < b.N; i++ {
-				cfg := world.DefaultConfig()
-				cfg.Seed = benchSeed
-				cfg.Scale = scale
-				cfg.Workers = 1
-				cfg.Queue = bench.kind
-				total = world.Run(cfg).Total()
-			}
-			b.ReportMetric(float64(total), "devices")
-		})
-	}
-}
-
 // --- E6: Figure 5 --------------------------------------------------------
 
 func BenchmarkFigure5(b *testing.B) {

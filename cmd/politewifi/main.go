@@ -15,7 +15,7 @@
 //	politewifi wardrive [-scale F] [-workers N] [-faults SPEC] [-stream FILE] [-record FILE] [-progress]  the §3 city-wide census (Table 2)
 //	politewifi losssweep [-scale F] [-workers N]  census accuracy vs channel loss rate
 //	politewifi tail    [-fold FILE] STREAM       render a flight-recorder stream ("-" = stdin)
-//	politewifi replay  [-workers N] [-queue Q] LOG  re-run a recorded drive and diff it against a live run
+//	politewifi replay  [-workers N] LOG      re-run a recorded drive and diff it against a live run
 //	politewifi fuzz    [-n N] [-seed S] [-artifacts DIR]  differential scenario fuzzer over random jobspecs
 //
 // wardrive shards the drive's RF-independent stops over -workers
@@ -478,7 +478,7 @@ type replayLeg struct {
 
 // runReplayLeg executes the spec once with full capture plumbing;
 // log non-nil replays a frame log instead of simulating the medium.
-func runReplayLeg(spec jobspec.Spec, workers int, qk eventsim.QueueKind, log *replay.Log) replayLeg {
+func runReplayLeg(spec jobspec.Spec, workers int, log *replay.Log) replayLeg {
 	cfg, err := spec.WorldConfig()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "politewifi:", err)
@@ -487,7 +487,6 @@ func runReplayLeg(spec jobspec.Spec, workers int, qk eventsim.QueueKind, log *re
 	if workers > 0 {
 		cfg.Workers = workers
 	}
-	cfg.Queue = qk
 	reg := telemetry.NewRegistry(nil)
 	cfg.Metrics = reg
 	var buf bytes.Buffer
@@ -512,28 +511,16 @@ func runReplayLeg(spec jobspec.Spec, workers int, qk eventsim.QueueKind, log *re
 // Any disagreement exits 1: a divergence inside the replay carries the
 // record index and byte offset of the first event that no longer
 // matches; a post-run byte difference names the artifact that changed.
-// -queue replays on the timing wheel or the legacy heap; -workers
-// overrides both legs' worker count (the output must not care).
+// -workers overrides both legs' worker count (the output must not
+// care).
 func cmdReplay(args []string) {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	workers := fs.Int("workers", 0, "worker goroutines for both legs (0 = the recorded spec's count)")
-	queue := fs.String("queue", "wheel", "event queue for the replay leg: wheel or heap")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: politewifi replay [-workers N] [-queue wheel|heap] LOG")
+		fmt.Fprintln(os.Stderr, "usage: politewifi replay [-workers N] LOG")
 		os.Exit(2)
 	}
-	var qk eventsim.QueueKind
-	switch *queue {
-	case "wheel":
-		qk = eventsim.QueueWheel
-	case "heap":
-		qk = eventsim.QueueLegacyHeap
-	default:
-		fmt.Fprintf(os.Stderr, "politewifi: replay: unknown queue %q (want wheel or heap)\n", *queue)
-		os.Exit(2)
-	}
-
 	f, err := os.Open(fs.Arg(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "politewifi:", err)
@@ -555,12 +542,12 @@ func cmdReplay(args []string) {
 		os.Exit(1)
 	}
 
-	replayed := runReplayLeg(spec, *workers, qk, log)
+	replayed := runReplayLeg(spec, *workers, log)
 	if err := log.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, "politewifi: replay:", err)
 		os.Exit(1)
 	}
-	live := runReplayLeg(spec, *workers, eventsim.QueueWheel, nil)
+	live := runReplayLeg(spec, *workers, nil)
 	switch {
 	case !bytes.Equal(replayed.stream, live.stream):
 		fmt.Fprintf(os.Stderr, "politewifi: replay: flight-recorder streams differ (replay %d bytes, live %d bytes)\n",
@@ -575,8 +562,8 @@ func cmdReplay(args []string) {
 		os.Exit(1)
 	}
 	fmt.Print(replayed.r.Render())
-	fmt.Printf("\nreplayed %d frame-log records across %d stops on the %s queue: census, telemetry (%d bytes) and stream (%d bytes) match the live run exactly\n",
-		log.Records(), log.Stops(), *queue, len(replayed.report), len(replayed.stream))
+	fmt.Printf("\nreplayed %d frame-log records across %d stops: census, telemetry (%d bytes) and stream (%d bytes) match the live run exactly\n",
+		log.Records(), log.Stops(), len(replayed.report), len(replayed.stream))
 }
 
 // cmdFuzz runs the differential scenario fuzzer (see internal/fuzzer):

@@ -9,16 +9,12 @@
 //
 // # Queue structure
 //
-// Pending events live in a hierarchical timing wheel (a calendar
-// queue): four levels of 256 slots whose level-0 tick is 1.024 µs, an
-// exact (time, sequence)-ordered "due" heap for events inside the
-// current tick, and an overflow heap for events beyond the wheel
-// horizon (~1.2 simulated hours). Scheduling is O(1); the due heap is
-// tiny because it only ever holds events of the current tick. Events
-// with equal timestamps fire in scheduling order (FIFO tie-break via
-// the sequence number) — the total order is identical to the retired
-// binary-heap queue, which is retained behind NewSchedulerQueue as a
-// differential-testing oracle.
+// Pending events live in one binary min-heap ordered by (time,
+// sequence). Events with equal timestamps fire in scheduling order
+// (FIFO tie-break via the sequence number). Push and pop are O(log n),
+// and n stays small: a full-scale wardrive stop never holds more than
+// a few dozen pending events, so each operation is a handful of
+// comparisons on a slice that stays in cache.
 //
 // # Event pooling and cancellation semantics
 //
@@ -91,7 +87,7 @@ type Event struct {
 	dead   bool
 	gen    uint32
 	origin Origin
-	next   *Event // intrusive link: wheel slot chain or free list
+	next   *Event // free-list link
 }
 
 // Handle refers to a scheduled event. The zero Handle refers to
@@ -123,9 +119,9 @@ func (h Handle) Cancel() {
 func (h Handle) Cancelled() bool { return h.e != nil && h.e.gen == h.gen && h.e.dead }
 
 // evHeap is a hand-rolled binary min-heap ordered by (at, seq) — the
-// scheduler's total order. It backs the wheel's due heap, the wheel's
-// overflow heap, and the legacy differential-oracle queue; avoiding
-// container/heap keeps events out of interface boxes.
+// scheduler's total order and its only pending queue. Avoiding
+// container/heap keeps events out of interface boxes and the
+// push/pop calls direct.
 type evHeap []*Event
 
 func (h evHeap) less(i, j int) bool {
@@ -180,226 +176,6 @@ func (h *evHeap) pop() *Event {
 	return top
 }
 
-// evqueue is the pending-event structure behind a Scheduler. Both
-// implementations surface events in exact (at, seq) order.
-type evqueue interface {
-	push(e *Event)
-	min() *Event // next event without removing it; nil when empty
-	popMin() *Event
-}
-
-// Timing-wheel geometry. Level k spans deltas in
-// [2^(wheelBits·k), 2^(wheelBits·(k+1))) level-0 ticks; beyond the
-// last level events wait in the overflow heap.
-const (
-	wheelTickBits = 10 // level-0 tick = 1.024 µs
-	wheelBits     = 8
-	wheelSlots    = 1 << wheelBits
-	wheelMask     = wheelSlots - 1
-	wheelLevels   = 4
-	wheelWords    = wheelSlots / 64
-)
-
-// wheelQueue is the hierarchical timing wheel. btick is the cursor
-// tick: every event in the slots has tick(at) > btick and every event
-// in due has tick(at) <= btick, so the due heap's minimum is the
-// global minimum. Slots hold unordered intrusive chains; per-level
-// occupancy bitmaps let the cursor jump straight to the next occupied
-// slot instead of stepping tick by tick.
-type wheelQueue struct {
-	btick    uint64
-	due      evHeap
-	overflow evHeap
-	slots    [wheelLevels][wheelSlots]*Event
-	occ      [wheelLevels][wheelWords]uint64
-	count    [wheelLevels]int
-	size     int // total events: due + slots + overflow
-}
-
-func (w *wheelQueue) push(e *Event) {
-	w.size++
-	t := uint64(e.at) >> wheelTickBits
-	if t <= w.btick {
-		w.due.push(e)
-		return
-	}
-	w.place(e, t)
-}
-
-// place files a future event (tick t > btick) into the proper wheel
-// level, or the overflow heap beyond the horizon.
-func (w *wheelQueue) place(e *Event, t uint64) {
-	d := t - w.btick
-	for k := 0; k < wheelLevels; k++ {
-		if d < uint64(1)<<(wheelBits*(k+1)) {
-			shift := uint(wheelBits * k)
-			slot := (t >> shift) & wheelMask
-			e.next = w.slots[k][slot]
-			w.slots[k][slot] = e
-			w.occ[k][slot>>6] |= 1 << (slot & 63)
-			w.count[k]++
-			return
-		}
-	}
-	w.overflow.push(e)
-}
-
-func (w *wheelQueue) min() *Event {
-	for {
-		if len(w.due) > 0 {
-			return w.due[0]
-		}
-		if w.size == 0 {
-			return nil
-		}
-		w.advance()
-	}
-}
-
-func (w *wheelQueue) popMin() *Event {
-	if w.min() == nil {
-		return nil
-	}
-	w.size--
-	return w.due.pop()
-}
-
-// scan finds the next occupied slot at level k after index ik,
-// returning its wrap-aware distance (1..wheelSlots) and index. The
-// caller guarantees count[k] > 0.
-func (w *wheelQueue) scan(k int, ik uint64) (m, slot uint64) {
-	occ := &w.occ[k]
-	for off := uint64(1); off <= wheelSlots; off++ {
-		s := (ik + off) & wheelMask
-		if occ[s>>6]&(1<<(s&63)) != 0 {
-			return off, s
-		}
-	}
-	return 0, 0 // unreachable while count[k] > 0
-}
-
-// advance jumps the cursor to the earliest due slot across all levels
-// (or the overflow horizon) and cascades that slot's events downward.
-// A level-k slot's due tick is the start of its next occupied group
-// (((btick>>shift)+m)<<shift for wrap distance m), which lower-bounds
-// every tick stored there, so the cursor never passes a pending
-// event; cascading re-files each event by its own tick, which also
-// handles slots that mix a group with the one a rotation later.
-func (w *wheelQueue) advance() {
-	// First, drain current-group events parked in the cursor's own
-	// slot at levels >= 1. That state is reachable when a lower
-	// level's slot start ties with a higher-level group boundary: the
-	// cursor enters the group without cascading the higher slot. scan
-	// would misread such a slot as a full rotation away, so these
-	// events must drop to finer levels before the cursor may move.
-	// A slot can simultaneously hold events one rotation out (the
-	// placement window spans 257 group starts at the boundary), so
-	// only the current group's events are extracted.
-	for k := 1; k < wheelLevels; k++ {
-		if w.count[k] == 0 {
-			continue
-		}
-		shift := uint(wheelBits * k)
-		ik := (w.btick >> shift) & wheelMask
-		if w.occ[k][ik>>6]&(1<<(ik&63)) == 0 {
-			continue
-		}
-		g := w.btick >> shift
-		var keep *Event
-		moved := false
-		e := w.slots[k][ik]
-		w.slots[k][ik] = nil
-		for e != nil {
-			next := e.next
-			if t := uint64(e.at) >> wheelTickBits; t>>shift == g {
-				// Current group, tick > btick: re-place lands at a
-				// strictly lower level (d < 2^(wheelBits*k)).
-				e.next = nil
-				w.count[k]--
-				w.place(e, t)
-				moved = true
-			} else {
-				e.next = keep
-				keep = e
-			}
-			e = next
-		}
-		w.slots[k][ik] = keep
-		if keep == nil {
-			w.occ[k][ik>>6] &^= 1 << (ik & 63)
-		}
-		if moved {
-			return // progress made; min() re-evaluates
-		}
-	}
-	const inf = ^uint64(0)
-	best := inf
-	bestLevel := -1
-	bestSlot := uint64(0)
-	for k := 0; k < wheelLevels; k++ {
-		if w.count[k] == 0 {
-			continue
-		}
-		shift := uint(wheelBits * k)
-		ik := (w.btick >> shift) & wheelMask
-		m, slot := w.scan(k, ik)
-		due := ((w.btick >> shift) + m) << shift
-		if due < best {
-			best, bestLevel, bestSlot = due, k, slot
-		}
-	}
-	if len(w.overflow) > 0 {
-		if ot := uint64(w.overflow[0].at) >> wheelTickBits; ot < best {
-			// Jump to the overflow horizon and pull every event that
-			// now fits back into the wheel.
-			w.btick = ot
-			for len(w.overflow) > 0 {
-				t := uint64(w.overflow[0].at) >> wheelTickBits
-				if t-w.btick >= uint64(1)<<(wheelBits*wheelLevels) {
-					break
-				}
-				e := w.overflow.pop()
-				if t <= w.btick {
-					w.due.push(e)
-				} else {
-					w.place(e, t)
-				}
-			}
-			return
-		}
-	}
-	w.btick = best
-	k, slot := bestLevel, bestSlot
-	list := w.slots[k][slot]
-	w.slots[k][slot] = nil
-	w.occ[k][slot>>6] &^= 1 << (slot & 63)
-	for e := list; e != nil; {
-		next := e.next
-		e.next = nil
-		w.count[k]--
-		if t := uint64(e.at) >> wheelTickBits; t <= w.btick {
-			w.due.push(e)
-		} else {
-			w.place(e, t)
-		}
-		e = next
-	}
-}
-
-// heapQueue is the retired binary-heap pending queue, kept solely as
-// a differential-testing oracle for the timing wheel (see
-// NewSchedulerQueue).
-type heapQueue struct{ h evHeap }
-
-func (q *heapQueue) push(e *Event) { q.h.push(e) }
-func (q *heapQueue) min() *Event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return q.h[0]
-}
-func (q *heapQueue) popMin() *Event { return q.h.pop() }
-
 // ErrStopped is returned by Run variants when Stop was called.
 var ErrStopped = errors.New("eventsim: scheduler stopped")
 
@@ -410,9 +186,8 @@ var ErrStopped = errors.New("eventsim: scheduler stopped")
 type Scheduler struct {
 	now     Time
 	seq     uint64
-	q       evqueue
+	q       evHeap
 	free    *Event // recycled Event structs, chained on Event.next
-	pending int    // queued events, including uncollected tombstones
 	stopped bool
 	fired   uint64
 
@@ -433,38 +208,13 @@ type Scheduler struct {
 // slice increment on the hot path.
 type Origin uint16
 
-// QueueKind selects the pending-event structure behind a Scheduler.
-type QueueKind uint8
-
-const (
-	// QueueWheel is the hierarchical timing wheel — the default.
-	QueueWheel QueueKind = iota
-	// QueueLegacyHeap is the retired binary-heap queue. It is kept
-	// only as a differential-testing oracle: both queues realise the
-	// same (time, sequence) total order, and the differential tests
-	// assert that entire drives are byte-identical across the two.
-	QueueLegacyHeap
-)
-
-// NewScheduler returns a scheduler whose clock starts at zero, backed
-// by the timing wheel.
-func NewScheduler() *Scheduler { return NewSchedulerQueue(QueueWheel) }
-
-// NewSchedulerQueue returns a scheduler backed by an explicit queue
-// kind. Production code uses NewScheduler; QueueLegacyHeap exists for
-// wheel-vs-heap differential tests and benchmarks.
-func NewSchedulerQueue(kind QueueKind) *Scheduler {
-	s := &Scheduler{
+// NewScheduler returns a scheduler whose clock starts at zero.
+func NewScheduler() *Scheduler {
+	return &Scheduler{
 		originNames:   []string{"untagged"},
 		originIndex:   make(map[string]Origin),
 		firedByOrigin: make([]uint64, 1),
 	}
-	if kind == QueueLegacyHeap {
-		s.q = &heapQueue{}
-	} else {
-		s.q = &wheelQueue{}
-	}
-	return s
 }
 
 // alloc takes an Event struct from the free list, or mints one if the
@@ -500,7 +250,7 @@ func (s *Scheduler) ObservedNow() Time { return Time(s.nowAtomic.Load()) }
 // Len reports the number of pending events. Cancelled events still
 // occupy the queue until their tombstones surface, so this is an
 // upper bound on live events.
-func (s *Scheduler) Len() int { return s.pending }
+func (s *Scheduler) Len() int { return len(s.q) }
 
 // Fired reports how many events have executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
@@ -565,9 +315,8 @@ func (s *Scheduler) ScheduleTagged(o Origin, at Time, fn func()) Handle {
 	e.origin = o
 	s.seq++
 	s.q.push(e)
-	s.pending++
-	if s.pending > s.highWater {
-		s.highWater = s.pending
+	if len(s.q) > s.highWater {
+		s.highWater = len(s.q)
 	}
 	return Handle{e: e, gen: e.gen}
 }
@@ -630,18 +379,15 @@ func (t *Ticker) Stop() {
 // the head of the queue. This is the only point where tombstones are
 // reclaimed; Cancel itself never touches the queue.
 func (s *Scheduler) peek() *Event {
-	for {
-		e := s.q.min()
-		if e == nil {
-			return nil
-		}
+	for len(s.q) > 0 {
+		e := s.q[0]
 		if !e.dead {
 			return e
 		}
-		s.q.popMin()
-		s.pending--
+		s.q.pop()
 		s.recycle(e)
 	}
+	return nil
 }
 
 // Step executes the single next pending event, advancing the clock to
@@ -651,8 +397,7 @@ func (s *Scheduler) Step() bool {
 	if e == nil {
 		return false
 	}
-	s.q.popMin()
-	s.pending--
+	s.q.pop()
 	s.now = e.at
 	s.nowAtomic.Store(int64(e.at))
 	s.fired++

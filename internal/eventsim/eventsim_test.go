@@ -1,6 +1,8 @@
 package eventsim
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -249,6 +251,100 @@ func TestDeterminismProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSchedulerRandomizedOrder drives the scheduler with a randomized
+// schedule/cancel workload — same-instant ties, sub-µs through 2^40 ns
+// delays, delays past the run deadline, and cancels of pending and
+// already-fired events — and checks the firing sequence against an
+// independent reference: every scheduled, uncancelled event sorted by
+// (time, scheduling order).
+func TestSchedulerRandomizedOrder(t *testing.T) {
+	type ev struct {
+		at        Time
+		cancelled bool
+		fired     bool
+	}
+	const deadline = Time(2 << 43)
+	for trial := 0; trial < 50; trial++ {
+		s := NewScheduler()
+		src := rand.New(rand.NewSource(int64(trial)*7919 + 1))
+		var evs []ev
+		var handles []Handle
+		var fired []int
+		var step func()
+		step = func() {
+			// Each firing randomly schedules more work, cancels
+			// something, or does nothing — the mix a wardrive stop
+			// produces.
+			for k := src.Intn(4); k > 0 && len(evs) < 4000; k-- {
+				var d Time
+				switch src.Intn(6) {
+				case 0: // same-instant tie
+					d = 0
+				case 1: // sub-µs
+					d = Time(src.Intn(1024))
+				case 2: // SIFS/slot scale
+					d = Time(src.Intn(1 << 18))
+				case 3: // beacon scale
+					d = Time(src.Intn(1 << 30))
+				case 4: // long horizon
+					d = Time(src.Intn(1 << 40))
+				default: // may land past the deadline
+					d = Time(1<<42 + src.Intn(1<<43))
+				}
+				id := len(evs)
+				evs = append(evs, ev{at: s.Now() + d})
+				handles = append(handles, s.After(d, func() {
+					evs[id].fired = true
+					fired = append(fired, id)
+					step()
+				}))
+			}
+			if len(handles) > 0 && src.Intn(3) == 0 {
+				id := src.Intn(len(handles))
+				handles[id].Cancel()
+				if !evs[id].fired {
+					evs[id].cancelled = true
+				}
+			}
+		}
+		step()
+		step()
+		check := func(stage string, horizon Time) {
+			t.Helper()
+			var want []int
+			for id, e := range evs {
+				if !e.cancelled && e.at <= horizon {
+					want = append(want, id)
+				}
+			}
+			sort.SliceStable(want, func(i, j int) bool { return evs[want[i]].at < evs[want[j]].at })
+			if len(fired) != len(want) {
+				t.Fatalf("trial %d %s: fired %d events, reference %d", trial, stage, len(fired), len(want))
+			}
+			for i := range want {
+				if fired[i] != want[i] {
+					t.Fatalf("trial %d %s: firing order diverges at %d: got event %d, reference %d",
+						trial, stage, i, fired[i], want[i])
+				}
+			}
+		}
+		if err := s.RunUntil(deadline); err != nil {
+			t.Fatal(err)
+		}
+		if s.Now() != deadline {
+			t.Fatalf("trial %d: Now() = %v after RunUntil, want %v", trial, s.Now(), deadline)
+		}
+		check("RunUntil", deadline)
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		check("Run", Time(1<<62))
+		if s.Len() != 0 {
+			t.Fatalf("trial %d: %d events left after Run", trial, s.Len())
+		}
 	}
 }
 

@@ -3,10 +3,9 @@
 // jobspec (tiny city, random fault mix, random attacker cadence,
 // random worker count), and asserts two oracles over the drive:
 //
-//   - determinism: the same spec run at workers=1 on the timing wheel
-//     and at a random worker count on a random event queue must produce
-//     byte-identical flight-recorder streams, telemetry reports and
-//     census results;
+//   - determinism: the same spec run at workers=1 and at a random
+//     worker count must produce byte-identical flight-recorder streams,
+//     telemetry reports and census results;
 //   - record/replay: recording the drive into a politewifi.framelog/v1
 //     frame log and replaying it must reproduce the recorded run byte
 //     for byte, with the replay cursor consuming the log exactly.
@@ -89,13 +88,9 @@ func Run(opts Options) ([]Finding, error) {
 	for i := 0; i < opts.Iterations; i++ {
 		r := root.Fork()
 		spec := randomSpec(r)
-		qk := eventsim.QueueWheel
-		if r.Coin(0.5) {
-			qk = eventsim.QueueLegacyHeap
-		}
 		altWorkers := 1 + r.Intn(4)
 
-		f, failed, err := runIteration(i, spec, qk, altWorkers, opts)
+		f, failed, err := runIteration(i, spec, altWorkers, opts)
 		if err != nil {
 			return findings, err
 		}
@@ -105,7 +100,7 @@ func Run(opts Options) ([]Finding, error) {
 				i, f.Oracle, f.Spec, f.Records, f.Err)
 			continue
 		}
-		logf(opts.Out, "iter %d: ok  %s queue=%s alt-workers=%d", i, spec, queueName(qk), altWorkers)
+		logf(opts.Out, "iter %d: ok  %s alt-workers=%d", i, spec, altWorkers)
 	}
 	return findings, nil
 }
@@ -114,13 +109,6 @@ func logf(w io.Writer, format string, args ...any) {
 	if w != nil {
 		fmt.Fprintf(w, format+"\n", args...)
 	}
-}
-
-func queueName(qk eventsim.QueueKind) string {
-	if qk == eventsim.QueueLegacyHeap {
-		return "heap"
-	}
-	return "wheel"
 }
 
 // randomSpec draws one scenario. Cities are tiny (a couple of stops) so
@@ -169,13 +157,12 @@ type legOutput struct {
 
 // runLeg executes one drive with full capture plumbing. Exactly one of
 // record/log may be set: record captures a frame log, log replays one.
-func runLeg(spec jobspec.Spec, workers int, qk eventsim.QueueKind, record bool, log *replay.Log) (legOutput, error) {
+func runLeg(spec jobspec.Spec, workers int, record bool, log *replay.Log) (legOutput, error) {
 	cfg, err := spec.WorldConfig()
 	if err != nil {
 		return legOutput{}, err
 	}
 	cfg.Workers = workers
-	cfg.Queue = qk
 	reg := telemetry.NewRegistry(nil)
 	cfg.Metrics = reg
 	var streamBuf bytes.Buffer
@@ -224,18 +211,18 @@ func compareLegs(what string, a, b legOutput) error {
 	return nil
 }
 
-// checkDeterminism runs the spec twice — workers=1 on the wheel vs the
-// drawn worker count on the drawn queue — and compares.
-func checkDeterminism(spec jobspec.Spec, qk eventsim.QueueKind, altWorkers int) error {
-	base, err := runLeg(spec, 1, eventsim.QueueWheel, false, nil)
+// checkDeterminism runs the spec twice — workers=1 vs the drawn
+// worker count — and compares.
+func checkDeterminism(spec jobspec.Spec, altWorkers int) error {
+	base, err := runLeg(spec, 1, false, nil)
 	if err != nil {
 		return err
 	}
-	alt, err := runLeg(spec, altWorkers, qk, false, nil)
+	alt, err := runLeg(spec, altWorkers, false, nil)
 	if err != nil {
 		return err
 	}
-	return compareLegs(fmt.Sprintf("workers 1/wheel vs %d/%s", altWorkers, queueName(qk)), base, alt)
+	return compareLegs(fmt.Sprintf("workers 1 vs %d", altWorkers), base, alt)
 }
 
 // replayFailure carries the evidence a failed record/replay check
@@ -251,7 +238,7 @@ type replayFailure struct {
 // replays the log against a fresh live run of the same spec. Any byte
 // difference or unconsumed log suffix is a failure.
 func checkReplay(spec jobspec.Spec, opts Options) (*replayFailure, error) {
-	recorded, err := runLeg(spec, spec.Workers, eventsim.QueueWheel, true, nil)
+	recorded, err := runLeg(spec, spec.Workers, true, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +253,7 @@ func checkReplay(spec jobspec.Spec, opts Options) (*replayFailure, error) {
 	if err != nil {
 		return &replayFailure{err: err, logData: logData}, nil
 	}
-	replayed, err := runLeg(spec, spec.Workers, eventsim.QueueWheel, false, log)
+	replayed, err := runLeg(spec, spec.Workers, false, log)
 	if err != nil {
 		return nil, err
 	}
@@ -330,10 +317,10 @@ func splitLines(data []byte) [][]byte {
 
 // runIteration evaluates both oracles for one scenario and shrinks the
 // first failure.
-func runIteration(iter int, spec jobspec.Spec, qk eventsim.QueueKind, altWorkers int, opts Options) (Finding, bool, error) {
-	if err := checkDeterminism(spec, qk, altWorkers); err != nil {
+func runIteration(iter int, spec jobspec.Spec, altWorkers int, opts Options) (Finding, bool, error) {
+	if err := checkDeterminism(spec, altWorkers); err != nil {
 		shrunk, lastErr := shrinkSpec(spec, func(s jobspec.Spec) error {
-			return checkDeterminism(s, qk, altWorkers)
+			return checkDeterminism(s, altWorkers)
 		})
 		f := Finding{Iteration: iter, Oracle: "determinism", Spec: shrunk, Err: lastErr}
 		return f, true, writeArtifacts(&f, opts)

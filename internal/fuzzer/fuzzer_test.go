@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"politewifi/internal/dot11"
-	"politewifi/internal/eventsim"
 	"politewifi/internal/jobspec"
 	"politewifi/internal/replay"
 )
@@ -140,7 +139,7 @@ func TestSeqPackRegressionFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runLeg(spec, spec.Workers, eventsim.QueueWheel, false, log); err != nil {
+	if _, err := runLeg(spec, spec.Workers, false, log); err != nil {
 		t.Fatal(err)
 	}
 	var de *replay.DivergenceError

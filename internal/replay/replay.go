@@ -235,10 +235,13 @@ type logRec struct {
 }
 
 // Log is a loaded frame log ready to replay: per-stop record shards
-// plus divergence bookkeeping shared by the cursors.
+// plus divergence bookkeeping shared by the cursors. Shards are keyed
+// by stop index and created only as records arrive, so memory tracks
+// the log's size, never the head's claimed stop count.
 type Log struct {
-	head  Head
-	stops [][]logRec
+	head    Head
+	stops   map[int][]logRec
+	records int
 
 	mu    sync.Mutex
 	errs  map[int]error // first divergence per stop
@@ -271,7 +274,7 @@ func Load(r io.Reader) (*Log, error) {
 	}
 	l := &Log{
 		head:  head,
-		stops: make([][]logRec, head.Stops),
+		stops: make(map[int][]logRec),
 		errs:  make(map[int]error),
 	}
 	for n := 1; ; n++ {
@@ -299,6 +302,7 @@ func Load(r io.Reader) (*Log, error) {
 			}
 		}
 		l.stops[rec.Stop] = append(l.stops[rec.Stop], logRec{rec: rec, index: n, offset: off})
+		l.records++
 	}
 	return l, nil
 }
@@ -311,13 +315,7 @@ func (l *Log) Stops() int { return l.head.Stops }
 func (l *Log) Spec() json.RawMessage { return l.head.Spec }
 
 // Records reports the total number of event records.
-func (l *Log) Records() int {
-	n := 0
-	for _, s := range l.stops {
-		n += len(s)
-	}
-	return n
-}
+func (l *Log) Records() int { return l.records }
 
 // Fail latches a pre-replay failure (e.g. the replaying world built a
 // different number of stops than the log records). First error wins.
@@ -347,23 +345,23 @@ func (l *Log) Err() error {
 	if l.setup != nil {
 		return l.setup
 	}
-	for stop := range l.stops {
-		if err, ok := l.errs[stop]; ok {
-			return err
+	first := -1
+	for stop := range l.errs {
+		if first < 0 || stop < first {
+			first = stop
 		}
 	}
-	return nil
+	if first < 0 {
+		return nil
+	}
+	return l.errs[first]
 }
 
 // Cursor returns the replay feed for one stop. Each cursor is used by
 // a single stop's medium (one goroutine); divergences latch into the
 // shared Log.
 func (l *Log) Cursor(stop int) *Cursor {
-	var recs []logRec
-	if stop >= 0 && stop < len(l.stops) {
-		recs = l.stops[stop]
-	}
-	return &Cursor{log: l, stop: stop, recs: recs}
+	return &Cursor{log: l, stop: stop, recs: l.stops[stop]}
 }
 
 // Cursor implements radio.FrameReplayer over one stop's records.

@@ -9,7 +9,9 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"politewifi/internal/experiments"
 	"politewifi/internal/jobspec"
@@ -376,6 +378,71 @@ func TestCancelAndResume(t *testing.T) {
 	if want := experiments.Table2FromResult(wantRes).Render(); string(report) != want {
 		t.Fatal("resumed job's report differs from the uncancelled report")
 	}
+}
+
+// TestResumeContinuesTapeBeforeReply: once resume answers 200, the
+// tape has already dropped its cancellation trailer and reopened, so
+// a /stream reader tails the resumed leg instead of replaying the
+// finished cancelled tape. Another job holds the only scheduler slot
+// on a blocked pool across the resume, so the resumed leg cannot have
+// started yet: whatever the reader sees is what resume itself did.
+func TestResumeContinuesTapeBeforeReply(t *testing.T) {
+	spec := testSpec(99)
+	_, wantStream, _ := cliReference(t, spec)
+
+	s, ts := startDaemon(t, Config{PoolWorkers: 1, MaxActive: 1})
+	release := make(chan struct{})
+	s.pool.Submit(func() { <-release })
+	st := submitJob(t, ts, spec)
+	waitState(t, ts, st.ID, StateRunning)
+	postJSON(t, ts, "/api/v1/jobs/"+st.ID+"/cancel").Body.Close()
+	close(release)
+	waitState(t, ts, st.ID, StateCancelled)
+
+	// Wedge the pool again and park a second job in the only slot.
+	// The cleanup unwedges it if a check below fails first, so the
+	// daemon can shut down.
+	wedge := make(chan struct{})
+	unwedge := sync.OnceFunc(func() { close(wedge) })
+	t.Cleanup(unwedge)
+	s.pool.Submit(func() { <-wedge })
+	other := submitJob(t, ts, testSpec(7))
+	waitState(t, ts, other.ID, StateRunning)
+
+	resp := postJSON(t, ts, "/api/v1/jobs/"+st.ID+"/resume")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("resume: %s", resp.Status)
+	}
+	s.mu.Lock()
+	j := s.jobs[st.ID]
+	s.mu.Unlock()
+	if tape := j.buf.snapshot(); bytes.Contains(tape, []byte(`"cancelled":true`)) {
+		t.Fatalf("tape still ends in the cancellation trailer after resume returned:\n%s", tape)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/api/v1/jobs/"+st.ID+"/stream", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sresp, err := http.DefaultClient.Do(req); err == nil {
+		got, rerr := io.ReadAll(sresp.Body)
+		sresp.Body.Close()
+		if rerr == nil {
+			t.Fatalf("stream reader finished while the resumed leg was queued (%d bytes)", len(got))
+		}
+	}
+	if ctx.Err() == nil {
+		t.Fatal("stream reader stopped before its deadline")
+	}
+
+	unwedge()
+	if got := readStream(t, ts, st.ID); !bytes.Equal(got, wantStream) {
+		t.Fatalf("resumed tape differs from the uncancelled stream (%d vs %d bytes)",
+			len(got), len(wantStream))
+	}
+	waitState(t, ts, other.ID, StateDone)
 }
 
 // TestClientDisconnectDoesNotAffectJob: a reader that hangs up

@@ -177,12 +177,10 @@ func (s *Server) runJob(j *Job) {
 
 	default: // drive
 		if prev != nil {
-			// A resumed drive continues the tape: drop the trailer line
-			// so the next record lands where the cancelled run stopped,
-			// and prime the run so its records carry the right running
-			// totals.
-			j.buf.trimLastLine()
-			j.buf.reopen()
+			// A resumed drive continues the tape handleResume already
+			// trimmed and reopened; prime the run so its records land
+			// where the cancelled run stopped and carry the right
+			// running totals.
 			cfg.StartStop = prev.StopsDone
 			cfg.ResumeTotals = prev.StreamTotals()
 		}
@@ -355,13 +353,20 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusConflict, "job %s is %s; only cancelled jobs resume", j.ID, st)
 		return
 	}
-	// Arm a fresh cancel signal for the resumed leg and requeue. The
-	// tape is trimmed by the scheduler right before the leg runs.
+	// Arm a fresh cancel signal for the resumed leg and requeue.
 	j.cancel = make(chan struct{})
 	j.cancelOnce = new(sync.Once)
 	j.state = StateQueued
 	select {
 	case s.queue <- j:
+		// Continue the tape before anyone can see the 200: drop the
+		// cancellation trailer so the resumed leg's first record lands
+		// where the cancelled run stopped, and reopen it so a reader
+		// connecting now tails the resumed leg instead of replaying the
+		// finished cancelled tape. Holding j.mu keeps runJob, which
+		// locks it first, from starting the leg before this is done.
+		j.buf.trimLastLine()
+		j.buf.reopen()
 		j.mu.Unlock()
 		s.mu.Unlock()
 		writeJSON(w, http.StatusOK, j.status())

@@ -80,8 +80,7 @@ func record(t *testing.T, cfg Config) ([]byte, driveArtifacts) {
 }
 
 // TestReplayMatchesLive is the tentpole oracle: a recorded drive,
-// replayed from its frame log — at workers 1 and 4, under both queue
-// kinds — must reproduce the live run's census, telemetry report and
+// replayed from its frame log — at workers 1 and 4 — must reproduce the live run's census, telemetry report and
 // flight-recorder stream byte for byte, and recording itself must not
 // perturb the drive.
 func TestReplayMatchesLive(t *testing.T) {
@@ -98,31 +97,28 @@ func TestReplayMatchesLive(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4} {
-		for _, kind := range []eventsim.QueueKind{eventsim.QueueWheel, eventsim.QueueLegacyHeap} {
-			log, err := replay.Load(bytes.NewReader(logBytes))
-			if err != nil {
-				t.Fatalf("load: %v", err)
-			}
-			rcfg := replayTestConfig()
-			rcfg.Workers = workers
-			rcfg.Queue = kind
-			rcfg.Replay = log
-			replayed := drive(t, rcfg)
-			if err := log.Err(); err != nil {
-				t.Fatalf("workers=%d queue=%v: replay diverged: %v", workers, kind, err)
-			}
-			if !reflect.DeepEqual(replayed.res, live.res) {
-				t.Fatalf("workers=%d queue=%v: replayed census differs:\nlive:    %+v\nreplayed: %+v",
-					workers, kind, live.res, replayed.res)
-			}
-			if !bytes.Equal(replayed.report, live.report) {
-				t.Fatalf("workers=%d queue=%v: replayed telemetry report differs:\nlive:\n%s\nreplayed:\n%s",
-					workers, kind, live.report, replayed.report)
-			}
-			if !bytes.Equal(replayed.stream, live.stream) {
-				t.Fatalf("workers=%d queue=%v: replayed stream differs (%d vs %d bytes)",
-					workers, kind, len(live.stream), len(replayed.stream))
-			}
+		log, err := replay.Load(bytes.NewReader(logBytes))
+		if err != nil {
+			t.Fatalf("load: %v", err)
+		}
+		rcfg := replayTestConfig()
+		rcfg.Workers = workers
+		rcfg.Replay = log
+		replayed := drive(t, rcfg)
+		if err := log.Err(); err != nil {
+			t.Fatalf("workers=%d: replay diverged: %v", workers, err)
+		}
+		if !reflect.DeepEqual(replayed.res, live.res) {
+			t.Fatalf("workers=%d: replayed census differs:\nlive:    %+v\nreplayed: %+v",
+				workers, live.res, replayed.res)
+		}
+		if !bytes.Equal(replayed.report, live.report) {
+			t.Fatalf("workers=%d: replayed telemetry report differs:\nlive:\n%s\nreplayed:\n%s",
+				workers, live.report, replayed.report)
+		}
+		if !bytes.Equal(replayed.stream, live.stream) {
+			t.Fatalf("workers=%d: replayed stream differs (%d vs %d bytes)",
+				workers, len(live.stream), len(replayed.stream))
 		}
 	}
 }

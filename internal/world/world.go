@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"politewifi/internal/arena"
 	"politewifi/internal/core"
@@ -407,16 +406,6 @@ type Config struct {
 	// ResumeTotals primes the stream's running totals when resuming
 	// (zero for a fresh drive).
 	ResumeTotals stream.Census
-	// Queue selects the event-queue implementation for every stop's
-	// scheduler. The zero value is the production timing wheel;
-	// QueueLegacyHeap exists so differential tests can replay a drive
-	// against the reference ordering.
-	Queue eventsim.QueueKind
-	// SchedStats, when true, adds wall-clock scheduler throughput
-	// instruments (sched.events_per_sec, sched.event_ns) to each
-	// stop's telemetry. Off by default: the values are host-dependent,
-	// so enabling them intentionally forfeits byte-identical streams.
-	SchedStats bool
 	// Record, when non-nil, captures every stop's frame-level medium
 	// activity — each transmission's wire bytes, arrival times and
 	// per-receiver outcomes, plus every carrier-sense check — as a
@@ -764,7 +753,7 @@ func runStop(rng *eventsim.RNG, index int, stop Stop, cfg Config) *stopResult {
 		clientVendors: make(map[string]int),
 		apVendors:     make(map[string]int),
 	}
-	sched := eventsim.NewSchedulerQueue(cfg.Queue)
+	sched := eventsim.NewScheduler()
 	med := radio.NewMedium(sched, rng.Fork(), radio.Config{
 		PathLoss:        radio.LogDistance{Exponent: 2.7},
 		ShadowSigmaDB:   3,
@@ -883,14 +872,6 @@ func runStop(rng *eventsim.RNG, index int, stop Stop, cfg Config) *stopResult {
 		scanner.ActiveScanInterval = cfg.ActiveScanInterval
 	}
 	scanner.Start()
-	// Opt-in scheduler throughput metering (Config.SchedStats): wall
-	// time is read only around the sim loop, never inside it, and the
-	// derived instruments exist only when the caller asked to trade
-	// byte-stability for them.
-	var wallStart time.Time
-	if cfg.SchedStats && sh.metrics != nil {
-		wallStart = time.Now() //politevet:allow wallclock(opt-in throughput metering around the sim loop; never feeds simulation state)
-	}
 	// Two passes over the dual-band hop plan: devices discovered late
 	// in a channel's first dwell get their probes on the second visit.
 	for pass := 0; pass < 2; pass++ {
@@ -901,17 +882,6 @@ func runStop(rng *eventsim.RNG, index int, stop Stop, cfg Config) *stopResult {
 		}
 	}
 	scanner.Stop()
-	if cfg.SchedStats && sh.metrics != nil {
-		wallNS := time.Since(wallStart).Nanoseconds() //politevet:allow wallclock(opt-in throughput metering around the sim loop; never feeds simulation state)
-		if fired := sched.Fired(); fired > 0 && wallNS > 0 {
-			sh.metrics.Gauge("sched.events_per_sec",
-				"scheduler throughput, events per wall-clock second (opt-in; host-dependent)").
-				SetInt(int(float64(fired) / (float64(wallNS) / 1e9)))
-			sh.metrics.Gauge("sched.event_ns",
-				"mean wall-clock nanoseconds per executed event (opt-in; host-dependent)").
-				SetInt(int(wallNS / int64(fired)))
-		}
-	}
 
 	// Accumulate outcomes for the devices that actually exist here.
 	scanned := scanner.Devices()

@@ -24,7 +24,9 @@ import (
 // injector is self-clocked by the verifier's verdicts (ACK observed,
 // or a simulated-time timeout), so no wall-clock pacing is needed and
 // runs remain fast. All simulation access is serialised through an
-// rt.Bridge.
+// rt.Bridge, and Run holds virtual time at each quantum boundary
+// until the workers have finished what the simulation handed them,
+// so a loaded host slows the scan down instead of starving it.
 type ConcurrentScanner struct {
 	attacker *Attacker
 	bridge   *rt.Bridge
@@ -58,7 +60,73 @@ type ConcurrentScanner struct {
 	devices map[dot11.MAC]*Device
 	seeded  []dot11.MAC
 
+	work inflight
+
 	metrics PipelineMetrics
+}
+
+// inflight counts pipeline work not yet finished: items sitting in a
+// channel, plus workers that were woken (by a channel item, a verdict
+// or a simSleep wake) and have not yet parked again. Every send adds
+// one before the item can be received; every worker calls done when
+// it finishes an item or parks on the simulation. Zero therefore
+// means each worker is blocked on something only advancing virtual
+// time can produce.
+//
+// Targets are the exception: they queue in targetCh while the
+// injector is parked mid-probe, and then they wait on virtual time
+// like the probe does. So they count only while the injector is idle
+// on that channel.
+type inflight struct {
+	mu           sync.Mutex
+	idle         sync.Cond
+	n            int
+	targets      int  // targets sitting in targetCh
+	injectorIdle bool // injector is waiting on targetCh
+}
+
+func (f *inflight) pending() int {
+	if f.injectorIdle {
+		return f.n + f.targets
+	}
+	return f.n
+}
+
+// update applies fn under the lock and wakes wait if nothing is
+// pending afterwards.
+func (f *inflight) update(fn func()) {
+	f.mu.Lock()
+	fn()
+	if f.pending() == 0 {
+		f.idle.Broadcast()
+	}
+	f.mu.Unlock()
+}
+
+func (f *inflight) add()  { f.update(func() { f.n++ }) }
+func (f *inflight) done() { f.update(func() { f.n-- }) }
+
+// queueTarget is add for a targetCh send; unqueueTarget undoes it when
+// the send is dropped.
+func (f *inflight) queueTarget()   { f.update(func() { f.targets++ }) }
+func (f *inflight) unqueueTarget() { f.update(func() { f.targets-- }) }
+
+// takeTarget marks the injector running on a target it received;
+// finishTarget marks it idle on targetCh again.
+func (f *inflight) takeTarget() {
+	f.update(func() { f.targets--; f.n++; f.injectorIdle = false })
+}
+func (f *inflight) finishTarget() {
+	f.update(func() { f.n--; f.injectorIdle = true })
+}
+
+// wait blocks until nothing is pending.
+func (f *inflight) wait() {
+	f.mu.Lock()
+	for f.pending() > 0 {
+		f.idle.Wait()
+	}
+	f.mu.Unlock()
 }
 
 type frameEvent struct {
@@ -121,6 +189,8 @@ func NewConcurrentScanner(a *Attacker, bridge *rt.Bridge) *ConcurrentScanner {
 		verdictCh:       make(chan verdict, 16),
 		devices:         make(map[dot11.MAC]*Device),
 	}
+	s.work.idle.L = &s.work.mu
+	s.work.injectorIdle = true
 	return s
 }
 
@@ -152,11 +222,13 @@ func (s *ConcurrentScanner) Run(simDuration eventsim.Time) Tally {
 	s.bridge.Do(func() {
 		s.attacker.OnFrame(func(f dot11.Frame, rx radio.Reception) {
 			ev := frameEvent{frame: f, rx: rx, ch: s.attacker.Radio.Channel()}
+			s.work.add()
 			select {
 			//politevet:allow bufreuse(the concurrent scanner's medium never has a stop arena — NewConcurrentScanner sets RetainFrames and world.Run uses the sequential Scanner — so rx.Data here is a per-transmission allocation the consumer may keep)
 			case s.frameCh <- ev:
 				s.metrics.FrameChDepth.SetInt(len(s.frameCh))
 			default:
+				s.work.done()
 			}
 		})
 	})
@@ -181,9 +253,11 @@ func (s *ConcurrentScanner) Run(simDuration eventsim.Time) Tally {
 	seeded := append([]dot11.MAC(nil), s.seeded...)
 	s.mu.Unlock()
 	for _, m := range seeded {
+		s.work.queueTarget()
 		select {
 		case s.targetCh <- m:
 		default:
+			s.work.unqueueTarget()
 		}
 	}
 
@@ -199,7 +273,19 @@ func (s *ConcurrentScanner) Run(simDuration eventsim.Time) Tally {
 	worker("injector", s.injectorWorker)
 	worker("verifier", s.verifierWorker)
 
-	s.bridge.Drive(eventsim.Millisecond, simDuration)
+	// Drive one quantum at a time and let the pipeline settle at each
+	// boundary (and before the first): the workers then see virtual
+	// time advance in step with their own progress, however late the
+	// OS runs them.
+	end := s.bridge.Now() + simDuration
+	for {
+		s.work.wait()
+		now := s.bridge.Now()
+		if now >= end {
+			break
+		}
+		s.bridge.Drive(eventsim.Millisecond, min(eventsim.Millisecond, end-now))
+	}
 	close(done)
 	wg.Wait()
 	return s.tally()
@@ -216,6 +302,7 @@ func (s *ConcurrentScanner) discoveryWorker(wg *sync.WaitGroup, done <-chan stru
 		case ev := <-s.frameCh:
 			s.metrics.WorkerDiscovery.Inc()
 			s.discover(ev)
+			s.work.done()
 		}
 	}
 }
@@ -252,10 +339,12 @@ func (s *ConcurrentScanner) discover(ev frameEvent) {
 	s.mu.Unlock()
 	if !seen {
 		s.metrics.Discovered.Inc()
+		s.work.queueTarget()
 		select {
 		case s.targetCh <- ta:
 			s.metrics.TargetChDepth.SetInt(len(s.targetCh))
 		default: // target queue full; the device stays recorded as silent
+			s.work.unqueueTarget()
 		}
 	}
 }
@@ -270,8 +359,10 @@ func (s *ConcurrentScanner) injectorWorker(wg *sync.WaitGroup, done <-chan struc
 		case <-done:
 			return
 		case target := <-s.targetCh:
+			s.work.takeTarget()
 			s.metrics.WorkerInjector.Inc()
 			s.probeTarget(target, done)
+			s.work.finishTarget()
 		}
 	}
 }
@@ -285,6 +376,7 @@ func (s *ConcurrentScanner) probeTarget(target dot11.MAC, done <-chan struct{}) 
 		for {
 			select {
 			case <-s.verdictCh:
+				s.work.done()
 				continue
 			default:
 			}
@@ -341,7 +433,10 @@ func (s *ConcurrentScanner) probeTarget(target dot11.MAC, done <-chan struct{}) 
 			attempt--
 			continue
 		}
-		// Wait for the verifier (or shutdown).
+		// Park until the verifier answers (or shutdown). The verdict
+		// carries its own in-flight count, which the injector keeps
+		// while it runs on.
+		s.work.done()
 		select {
 		case <-done:
 			return
@@ -415,12 +510,17 @@ func backoffDelay(base, max eventsim.Time, n int, target dot11.MAC) eventsim.Tim
 }
 
 // simSleep blocks the calling worker until the simulation clock has
-// advanced by d (or shutdown).
+// advanced by d (or shutdown). The caller parks, so its in-flight
+// count is released; the wake event adds it back.
 func (s *ConcurrentScanner) simSleep(d eventsim.Time, done <-chan struct{}) {
 	wake := make(chan struct{})
 	s.bridge.Do(func() {
-		s.attacker.sched.After(d, func() { close(wake) })
+		s.attacker.sched.After(d, func() {
+			s.work.add()
+			close(wake)
+		})
 	})
+	s.work.done()
 	select {
 	case <-wake:
 	case <-done:
@@ -432,10 +532,12 @@ func (s *ConcurrentScanner) simSleep(d eventsim.Time, done <-chan struct{}) {
 // event — the timeout token then resolves the probe negatively, which
 // only costs a retry.
 func (s *ConcurrentScanner) pushEvent(ev verifyEvent) {
+	s.work.add()
 	select {
 	case s.eventCh <- ev:
 		s.metrics.EventChDepth.SetInt(len(s.eventCh))
 	default:
+		s.work.done()
 	}
 }
 
@@ -466,6 +568,7 @@ func (s *ConcurrentScanner) verifierWorker(wg *sync.WaitGroup, done <-chan struc
 			s.metrics.VerdictTimeout.Inc()
 		}
 		s.metrics.VerdictLatencyUS.ObserveTime(at - armedAt)
+		s.work.add()
 		select {
 		case s.verdictCh <- verdict{target: target, acked: acked, lossy: sawCorrupt}:
 		case <-done:
@@ -502,6 +605,7 @@ func (s *ConcurrentScanner) verifierWorker(wg *sync.WaitGroup, done <-chan struc
 					resolve(false, ev.at)
 				}
 			}
+			s.work.done()
 		}
 	}
 }

@@ -148,6 +148,36 @@ func TestConcurrentScannerTelemetryRace(t *testing.T) {
 	}
 }
 
+// TestConcurrentScannerSettlesEachQuantum gives the pipeline two
+// quanta of virtual time for one seeded target. Run holds the clock
+// until the workers have settled, so the probe is injected before the
+// first quantum and its ACK verdict recorded at the second boundary,
+// however late the OS schedules the worker goroutines.
+func TestConcurrentScannerSettlesEachQuantum(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		sched := eventsim.NewScheduler()
+		rng := eventsim.NewRNG(29)
+		m := radio.NewMedium(sched, rng.Fork(), radio.Config{
+			PathLoss: radio.LogDistance{Exponent: 2.2}, CaptureMarginDB: 10,
+		})
+		apMAC := dot11.MustMAC("f2:6e:0b:00:00:07")
+		mac.New(m, rng.Fork(), mac.Config{
+			Name: "ap", Addr: apMAC, Role: mac.RoleAP, Profile: mac.ProfileGenericAP,
+			SSID: "h", Band: phy.Band2GHz, Channel: 6,
+		})
+		attacker := NewAttacker(m, radio.Position{X: 5}, phy.Band2GHz, 6, DefaultFakeMAC)
+		cs := NewConcurrentScanner(attacker, rt.NewBridge(sched))
+		cs.SeedTargets(apMAC)
+		tally := cs.Run(2 * eventsim.Millisecond)
+		if tally.Total != 1 || tally.TotalResponded != 1 {
+			t.Fatalf("run %d: tally = %+v, want the seeded AP probed and answered", i, tally)
+		}
+		if d := cs.Devices()[0]; d.Probes != 1 {
+			t.Fatalf("run %d: %d probes, want 1", i, d.Probes)
+		}
+	}
+}
+
 // TestBridgeDoSerialises hammers the bridge from several goroutines
 // while it drives; -race validates mutual exclusion.
 func TestBridgeDoSerialises(t *testing.T) {

@@ -346,7 +346,9 @@ func FER(r Rate, snrDB float64, length int) float64 {
 }
 
 // MinSNR returns the SNR (dB) at which the rate achieves a 10% FER
-// for a 1000-byte frame; used for rate selection.
+// for a 1000-byte frame. It bisects over FER (400 calls), so
+// PickRate does not call it: it reads ofdmMinSNR, a table built from
+// MinSNR once at init.
 func MinSNR(r Rate) float64 {
 	lo, hi := -10.0, 40.0
 	for i := 0; i < 50; i++ {
@@ -360,12 +362,22 @@ func MinSNR(r Rate) float64 {
 	return hi
 }
 
+// ofdmMinSNR[i] is MinSNR(OFDMRates[i]), bit for bit, computed once
+// because PickRate runs on every data frame sent to a known peer.
+var ofdmMinSNR = func() []float64 {
+	t := make([]float64, len(OFDMRates))
+	for i, r := range OFDMRates {
+		t[i] = MinSNR(r)
+	}
+	return t
+}()
+
 // PickRate selects the fastest OFDM rate whose 10% FER threshold the
 // SNR clears, falling back to 6 Mbps.
 func PickRate(snrDB float64) Rate {
 	best := Rate6
-	for _, r := range OFDMRates {
-		if snrDB >= MinSNR(r)+3 { // 3 dB margin
+	for i, r := range OFDMRates {
+		if snrDB >= ofdmMinSNR[i]+3 { // 3 dB margin
 			best = r
 		}
 	}

@@ -237,6 +237,50 @@ func TestPickRate(t *testing.T) {
 	}
 }
 
+// TestMinSNRTableBitIdentical pins PickRate's threshold table to the
+// bisection it replaces, bit for bit: any drift would move a rate
+// choice and with it every RNG draw, census and stream downstream.
+func TestMinSNRTableBitIdentical(t *testing.T) {
+	if len(ofdmMinSNR) != len(OFDMRates) {
+		t.Fatalf("table has %d entries for %d rates", len(ofdmMinSNR), len(OFDMRates))
+	}
+	for i, r := range OFDMRates {
+		if got, want := math.Float64bits(ofdmMinSNR[i]), math.Float64bits(MinSNR(r)); got != want {
+			t.Fatalf("table[%d] (%v) = %#x, MinSNR = %#x", i, r, got, want)
+		}
+	}
+}
+
+// TestPickRateMatchesBisection checks the table-driven PickRate
+// against the loop it replaced, across the whole SNR range and at
+// every threshold edge and its float64 neighbours.
+func TestPickRateMatchesBisection(t *testing.T) {
+	reference := func(snrDB float64) Rate {
+		best := Rate6
+		for _, r := range OFDMRates {
+			if snrDB >= MinSNR(r)+3 {
+				best = r
+			}
+		}
+		return best
+	}
+	check := func(snr float64) {
+		t.Helper()
+		if got, want := PickRate(snr), reference(snr); got != want {
+			t.Fatalf("PickRate(%v) = %v, reference = %v", snr, got, want)
+		}
+	}
+	for i := -2000; i <= 6000; i++ {
+		check(float64(i) / 100)
+	}
+	for _, r := range OFDMRates {
+		edge := MinSNR(r) + 3
+		check(math.Nextafter(edge, math.Inf(-1)))
+		check(edge)
+		check(math.Nextafter(edge, math.Inf(1)))
+	}
+}
+
 func TestSNRFromRSSI(t *testing.T) {
 	if got := SNRFromRSSI(-64); got != 30 {
 		t.Fatalf("SNRFromRSSI(-64) = %v, want 30", got)
@@ -261,5 +305,11 @@ func BenchmarkAirtime(b *testing.B) {
 func BenchmarkFER(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		FER(Rate54, 25, 1500)
+	}
+}
+
+func BenchmarkPickRate(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		PickRate(25)
 	}
 }

@@ -18,26 +18,24 @@
 // //politevet:allow <analyzer>(<reason>) directive; the reason is
 // mandatory. See DESIGN.md §5e.
 //
-// Modes:
+// Usage:
 //
-//	politevet ./...                          standalone, loads packages itself
-//	politevet -certify ./internal/...        print the determinism certificate
-//	go vet -vettool=$(which politevet) ./... driven by the go command
+//	politevet ./...                    report findings, test files included
+//	politevet -certify ./internal/...  print the determinism certificate
 //
-// The last form is what CI runs for diagnostics; standalone and vet
-// modes report identical findings. The certificate (CERTIFICATE.md)
-// is regenerated by CI and diffed against the committed copy.
+// politevet loads the packages itself through `go list`. It exits 0
+// on a clean tree, 2 when it reports findings (or is given no
+// packages), and 1 when a package fails to load or type-check. CI
+// runs the first form as the diagnostics gate and diffs the second
+// against CERTIFICATE.md.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"politewifi/internal/lint"
-	"politewifi/internal/lint/analysis"
-	"politewifi/internal/lint/unit"
 )
 
 func main() {
@@ -47,60 +45,24 @@ func main() {
 func run() int {
 	fs := flag.NewFlagSet("politevet", flag.ExitOnError)
 	fs.Usage = usage(fs)
-	versionFlag := fs.String("V", "", "print version and exit (go vet protocol; use -V=full)")
-	flagsFlag := fs.Bool("flags", false, "print a JSON description of supported flags and exit (go vet protocol)")
-	testsFlag := fs.Bool("tests", true, "standalone mode: also analyze test files")
 	certifyFlag := fs.Bool("certify", false, "print the determinism certificate for the given packages and exit; diff against CERTIFICATE.md in CI")
 	workersFlag := fs.Int("workers", 0, "bound parallel type-checking and analysis (0 = GOMAXPROCS); the certificate is byte-identical at any setting")
 	factcacheFlag := fs.String("factcache", "", `fact cache directory ("" = per-user default, "off" = disable)`)
-	enabled := map[string]*bool{}
-	for _, a := range lint.Analyzers() {
-		enabled[a.Name] = fs.Bool(a.Name, true, "enable the "+a.Name+" analyzer: "+a.Doc)
-	}
 	fs.Parse(os.Args[1:])
 
-	switch {
-	case *versionFlag != "":
-		if err := unit.PrintVersion(os.Stdout); err != nil {
-			return fail(err)
-		}
-		return 0
-	case *flagsFlag:
-		if err := unit.PrintFlags(os.Stdout); err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-
-	keep := map[string]bool{}
-	for name, on := range enabled {
-		keep[name] = *on
-	}
-
 	args := fs.Args()
-	if !*certifyFlag && len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		// go vet protocol: analyze one package unit.
-		n, err := unit.RunConfig(args[0], keep, os.Stderr)
-		if err != nil {
-			return fail(err)
-		}
-		if n > 0 {
-			return 2
-		}
-		return 0
-	}
-
 	if len(args) == 0 {
 		fs.Usage()
 		return 2
 	}
 
+	opts := lint.Options{
+		Patterns:  args,
+		Workers:   *workersFlag,
+		FactCache: *factcacheFlag,
+	}
 	if *certifyFlag {
-		cert, err := lint.Certify(lint.Options{
-			Patterns:  args,
-			Workers:   *workersFlag,
-			FactCache: *factcacheFlag,
-		})
+		cert, err := lint.Certify(opts)
 		if err != nil {
 			return fail(err)
 		}
@@ -108,20 +70,8 @@ func run() int {
 		return 0
 	}
 
-	var kept []*analysis.Analyzer
-	for _, a := range lint.Analyzers() {
-		if keep[a.Name] {
-			kept = append(kept, a)
-		}
-	}
-
-	res, err := lint.RunOpts(lint.Options{
-		Patterns:  args,
-		Tests:     *testsFlag,
-		Workers:   *workersFlag,
-		FactCache: *factcacheFlag,
-		Analyzers: kept,
-	})
+	opts.Tests = true
+	res, err := lint.RunOpts(opts)
 	if err != nil {
 		return fail(err)
 	}
@@ -152,15 +102,14 @@ func fail(err error) int {
 func usage(fs *flag.FlagSet) func() {
 	return func() {
 		fmt.Fprintf(fs.Output(), `usage:
-  politevet [flags] ./...                      analyze packages standalone
+  politevet [flags] ./...                      report findings (exit 2 if any)
   politevet -certify ./internal/...            print the determinism certificate
-  go vet -vettool=$(which politevet) ./...     run under the go command
 
-politevet enforces the simulator's determinism invariants; see
-DESIGN.md §5e and §5j. Suppress a sanctioned finding with a trailing
-//politevet:allow <analyzer>(<reason>) directive — the reason is
-mandatory. Sanctioned impurity stays visible in the certificate
-(CERTIFICATE.md), which CI regenerates and diffs.
+politevet enforces the simulator's determinism invariants over the
+given packages and their tests; see DESIGN.md §5e and §5j. Suppress a
+sanctioned finding with a trailing //politevet:allow <analyzer>(<reason>)
+directive — the reason is mandatory. Sanctioned impurity stays visible
+in the certificate (CERTIFICATE.md), which CI regenerates and diffs.
 
 flags:
 `)

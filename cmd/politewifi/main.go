@@ -240,11 +240,11 @@ func main() {
 }
 
 // cmdWardrive runs the §3 large-scale study with the stops sharded
-// across a worker pool (see internal/world and cmd/wardrive). The job
-// flags are the canonical internal/jobspec set, shared with
-// cmd/wardrive and the politewifid daemon. SIGINT/SIGTERM cancel the
-// drive cooperatively: in-flight stops finish, the stream ends with a
-// trailer record, and the partial census prints marked cancelled.
+// across a worker pool (see internal/world). The job flags are the
+// canonical internal/jobspec set, shared with the politewifid daemon's
+// JSON job specs. SIGINT/SIGTERM cancel the drive cooperatively:
+// in-flight stops finish, the stream ends with a trailer record, and
+// the partial census prints marked cancelled.
 func cmdWardrive(args []string) {
 	fs := flag.NewFlagSet("wardrive", flag.ExitOnError)
 	spec := jobspec.Drive()

@@ -17,8 +17,9 @@
 //	curl -s  localhost:8011/api/v1/jobs/job-1/result
 //
 // Determinism carries through the daemon unchanged: a job's stream is
-// byte-identical to `wardrive -stream` with the same spec, no matter
-// the pool size or what other jobs share the pool. See DESIGN.md §5g.
+// byte-identical to `politewifi wardrive -stream` with the same spec,
+// no matter the pool size or what other jobs share the pool. See
+// DESIGN.md §5g.
 //
 // On SIGINT/SIGTERM the daemon drains gracefully: new submissions get
 // 503, every job is cancelled cooperatively (each finishes the stops

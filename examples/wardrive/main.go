@@ -74,7 +74,7 @@ func main() {
 	fmt.Printf("\n%d devices (%d clients, %d APs) — %d responded to fake frames (%.0f%%)\n",
 		tally.Total, tally.Clients, tally.APs, tally.TotalResponded,
 		100*float64(tally.TotalResponded)/float64(maxInt(1, tally.Total)))
-	fmt.Println("the paper found the same for all 5,328 devices it met; run cmd/wardrive for the full census.")
+	fmt.Println("the paper found the same for all 5,328 devices it met; run `politewifi wardrive` for the full census.")
 }
 
 func maxInt(a, b int) int {

@@ -1,7 +1,7 @@
 // Package jobspec is the single description of a measurement job —
 // the wardrive census of Table 2 or the loss-rate accuracy sweep —
-// shared by every front end. The one-shot CLIs (cmd/wardrive,
-// politewifi wardrive, politewifi losssweep) register their flags
+// shared by every front end. The one-shot CLI subcommands (politewifi
+// wardrive, politewifi losssweep) register their flags
 // from a Spec, and the politewifid daemon accepts the same Spec as a
 // JSON body, so a job submitted over HTTP is parameterised exactly
 // like a job typed at a shell: same defaults, same validation, same

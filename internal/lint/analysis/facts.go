@@ -181,8 +181,8 @@ func (s *FactSet) Encode() ([]byte, error) {
 }
 
 // DecodeFactSet reconstructs a fact set from Encode output. A nil or
-// empty payload decodes to an empty set — the shape the vettool
-// protocol writes for packages with no facts.
+// empty payload decodes to an empty set, so a zero-length fact-cache
+// entry reads as a package with no facts rather than an error.
 func DecodeFactSet(pkgPath string, data []byte) (*FactSet, error) {
 	s := NewFactSet(pkgPath)
 	if len(data) == 0 {

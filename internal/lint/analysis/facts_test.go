@@ -77,9 +77,8 @@ func TestFactGobRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeEmptyFacts pins that a zero-length payload — what the
-// vettool writes for factless dependency units — decodes to an empty
-// set rather than an error.
+// TestDecodeEmptyFacts pins that a zero-length payload decodes to an
+// empty set rather than an error.
 func TestDecodeEmptyFacts(t *testing.T) {
 	s, err := DecodeFactSet("politewifi/internal/oui", nil)
 	if err != nil {

@@ -51,14 +51,17 @@ func Run(t *testing.T, a *analysis.Analyzer, fixture string) {
 func RunAnalyzers(t *testing.T, fixture string, analyzers ...*analysis.Analyzer) {
 	t.Helper()
 	pattern := "./testdata/src/" + fixture
-	pkgs, err := load.Packages("", false, pattern)
+	g, err := load.Load(load.Config{}, pattern)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", pattern, err)
 	}
-	if len(pkgs) != 1 {
-		t.Fatalf("fixture %s loaded %d packages, want 1", pattern, len(pkgs))
+	if len(g.Targets) != 1 {
+		t.Fatalf("fixture %s loaded %d packages, want 1", pattern, len(g.Targets))
 	}
-	pkg := pkgs[0]
+	pkg, err := g.Package(g.Targets[0])
+	if err != nil {
+		t.Fatalf("loading fixture %s: %v", pattern, err)
+	}
 	for _, terr := range pkg.TypeErrors {
 		t.Errorf("fixture %s: typecheck: %v", pattern, terr)
 	}

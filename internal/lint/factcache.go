@@ -6,9 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
-	"politewifi/internal/lint/analysis"
 	"politewifi/internal/lint/load"
 )
 
@@ -17,18 +15,6 @@ import (
 // stale caches invalidate themselves instead of serving facts the
 // current analyzers would not have computed.
 const FactVersion = "politevet-facts-v1"
-
-// ModulePath is the import-path prefix of packages the fact pass
-// analyzes; everything outside it (std, hypothetically vendored
-// code) is treated as factless and judged conservatively.
-const ModulePath = "politewifi"
-
-// InModule reports whether an import path (possibly in test-variant
-// form) belongs to this module — the fact pass's domain.
-func InModule(path string) bool {
-	path = analysis.TrimTestVariant(path)
-	return path == ModulePath || strings.HasPrefix(path, ModulePath+"/")
-}
 
 // factCache is a content-addressed store of encoded fact sets. Keys
 // are pure functions of FactVersion, the package's source bytes, and

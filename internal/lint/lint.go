@@ -68,10 +68,10 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s [%s]", f.Pos, f.Message, f.Analyzer)
 }
 
-// ComputeFacts runs the purity pass over one type-checked package and
+// computeFacts runs the purity pass over one type-checked package and
 // returns its frozen fact set. imported supplies the frozen sets of
 // already-analyzed dependencies, keyed by plain import path.
-func ComputeFacts(pkg *load.Package, imported map[string]*analysis.FactSet) (*analysis.FactSet, error) {
+func computeFacts(pkg *load.Package, imported map[string]*analysis.FactSet) (*analysis.FactSet, error) {
 	facts := &analysis.Facts{
 		Current:  analysis.NewFactSet(analysis.TrimTestVariant(pkg.ImportPath)),
 		Imported: imported,
@@ -337,7 +337,7 @@ func factPhase(g *load.Graph, cacheSpec string) (map[string]*analysis.FactSet, e
 		if err != nil {
 			return nil, fmt.Errorf("lint: %s: %v", path, err)
 		}
-		fs, err := ComputeFacts(pkg, factSets)
+		fs, err := computeFacts(pkg, factSets)
 		if err != nil {
 			return nil, err
 		}

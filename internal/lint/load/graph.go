@@ -13,6 +13,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"politewifi/internal/lint/analysis"
 )
 
 // Config controls a graph load.
@@ -31,9 +33,6 @@ type Config struct {
 // before running diagnostics. Type-checking is lazy and memoized;
 // Prefetch checks a batch in parallel.
 type Graph struct {
-	ModuleDir  string
-	ModulePath string
-
 	// Targets are the unit keys to run diagnostics on (test variants
 	// when Tests is set), in deterministic order.
 	Targets []string
@@ -63,7 +62,7 @@ func Load(cfg Config, patterns ...string) (*Graph, error) {
 	if len(patterns) == 0 {
 		return nil, fmt.Errorf("load: no patterns")
 	}
-	modDir, modPath, err := moduleInfo(cfg.Dir)
+	modPath, err := modulePath(cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
@@ -114,8 +113,6 @@ func Load(cfg Config, patterns ...string) (*Graph, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	g := &Graph{
-		ModuleDir:  modDir,
-		ModulePath: modPath,
 		Units:      make(map[string]*Unit),
 		ModuleDeps: make(map[string][]string),
 		workers:    workers,
@@ -123,7 +120,7 @@ func Load(cfg Config, patterns ...string) (*Graph, error) {
 	}
 
 	inModule := func(path string) bool {
-		path = trimVariant(path)
+		path = analysis.TrimTestVariant(path)
 		return path == modPath || strings.HasPrefix(path, modPath+"/")
 	}
 
@@ -140,8 +137,8 @@ func Load(cfg Config, patterns ...string) (*Graph, error) {
 			if mapped, ok := p.ImportMap[imp]; ok {
 				imp = mapped
 			}
-			imp = trimVariant(imp)
-			if inModule(imp) && imp != trimVariant(p.ImportPath) && !strings.HasSuffix(imp, ".test") {
+			imp = analysis.TrimTestVariant(imp)
+			if inModule(imp) && imp != analysis.TrimTestVariant(p.ImportPath) && !strings.HasSuffix(imp, ".test") {
 				deps[imp] = true
 			}
 		}
@@ -175,14 +172,6 @@ func Load(cfg Config, patterns ...string) (*Graph, error) {
 	sort.Strings(g.Targets)
 	g.Order = topoSort(g.Order, g.ModuleDeps)
 	return g, nil
-}
-
-// trimVariant strips a test-variant suffix ("pkg [pkg.test]" → "pkg").
-func trimVariant(path string) string {
-	if i := strings.Index(path, " ["); i >= 0 {
-		return path[:i]
-	}
-	return path
 }
 
 func sortedKeys(m map[string]bool) []string {
@@ -250,7 +239,7 @@ func (g *Graph) Package(key string) (*Package, error) {
 	if u == nil {
 		return nil, fmt.Errorf("load: no unit %q", key)
 	}
-	e.once.Do(func() { e.pkg, e.err = Check(*u) })
+	e.once.Do(func() { e.pkg, e.err = check(*u) })
 	return e.pkg, e.err
 }
 
@@ -289,18 +278,18 @@ func (u *Unit) FileHash(name string) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// moduleInfo resolves the enclosing module's root directory and path.
-func moduleInfo(dir string) (modDir, modPath string, err error) {
+// modulePath resolves the enclosing module's import path.
+func modulePath(dir string) (string, error) {
 	out, err := runGo(dir, "list", "-m", "-json")
 	if err != nil {
-		return "", "", err
+		return "", err
 	}
-	var m struct{ Path, Dir string }
+	var m struct{ Path string }
 	if err := json.Unmarshal(out, &m); err != nil {
-		return "", "", fmt.Errorf("load: decoding go list -m output: %v", err)
+		return "", fmt.Errorf("load: decoding go list -m output: %v", err)
 	}
 	if m.Path == "" {
-		return "", "", fmt.Errorf("load: not in a module")
+		return "", fmt.Errorf("load: not in a module")
 	}
-	return m.Dir, m.Path, nil
+	return m.Path, nil
 }

@@ -1,19 +1,15 @@
 // Package load turns `go list` package patterns into type-checked
 // syntax trees using only the standard library.
 //
-// It is the standalone-mode counterpart of the `go vet -vettool`
-// protocol (package unit): both produce the same Package value for
-// the driver in internal/lint. The loader shells out to the go
-// command for package metadata and compiled export data — the same
-// build-cache files the vet protocol hands a vettool — and
-// type-checks only the target packages' sources, importing
-// everything else from export data. That keeps a whole-repo run to
-// well under a second after the first build.
+// Load resolves patterns into a Graph: the target units plus every
+// in-module dependency, in dependency order, for politevet's driver in
+// internal/lint. The loader shells out to the go command for package
+// metadata and compiled export data, and type-checks only in-module
+// sources, importing everything else from export data.
 package load
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -45,16 +41,13 @@ type Package struct {
 }
 
 // Unit is the raw material for one Package: source files plus the
-// export-data locations of every import. It deliberately matches the
-// fields of the go command's vet.cfg so the vettool mode can reuse
-// Check unchanged.
+// export-data locations of every import.
 type Unit struct {
 	ImportPath  string
 	Dir         string
 	GoFiles     []string
 	ImportMap   map[string]string
 	PackageFile map[string]string
-	GoVersion   string
 }
 
 // listPackage is the subset of `go list -json` output the loader
@@ -71,86 +64,6 @@ type listPackage struct {
 	DepOnly    bool
 	Incomplete bool
 	Error      *struct{ Err string }
-}
-
-// Packages loads and type-checks the packages matching patterns,
-// resolved relative to dir ("" for the current directory). When
-// includeTests is true, in-package and external test packages are
-// included, exactly as `go vet` would analyze them.
-func Packages(dir string, includeTests bool, patterns ...string) ([]*Package, error) {
-	if len(patterns) == 0 {
-		return nil, fmt.Errorf("load: no patterns")
-	}
-
-	targets, err := expand(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-
-	args := []string{"list", "-e", "-deps", "-export", "-json"}
-	if includeTests {
-		args = append(args, "-test")
-	}
-	args = append(args, "--")
-	args = append(args, patterns...)
-	out, err := runGo(dir, args...)
-	if err != nil {
-		return nil, err
-	}
-
-	var all []*listPackage
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listPackage
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("load: decoding go list output: %v", err)
-		}
-		all = append(all, &p)
-	}
-
-	exports := make(map[string]string, len(all))
-	for _, p := range all {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-
-	// An in-package test variant ("pkg [pkg.test]") supersets the
-	// plain package's files; analyze it instead of the plain unit.
-	superseded := make(map[string]bool)
-	for _, p := range all {
-		if p.ForTest != "" && !strings.HasSuffix(p.ImportPath, ".test") && !strings.Contains(p.ImportPath, "_test [") {
-			superseded[p.ForTest] = true
-		}
-	}
-
-	var pkgs []*Package
-	for _, p := range all {
-		if !isTarget(p, targets) {
-			continue
-		}
-		if p.ForTest == "" && superseded[p.ImportPath] {
-			continue
-		}
-		if p.Error != nil {
-			return nil, fmt.Errorf("load: %s: %s", p.ImportPath, p.Error.Err)
-		}
-		u := Unit{
-			ImportPath:  p.ImportPath,
-			Dir:         p.Dir,
-			GoFiles:     p.GoFiles,
-			ImportMap:   p.ImportMap,
-			PackageFile: exports,
-		}
-		pkg, err := Check(u)
-		if err != nil {
-			return nil, fmt.Errorf("load: %s: %v", p.ImportPath, err)
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
 }
 
 // isTarget reports whether p is a unit the caller asked for, as
@@ -194,11 +107,11 @@ func runGo(dir string, args ...string) ([]byte, error) {
 	return out, nil
 }
 
-// Check parses and type-checks one unit. Imports resolve through the
+// check parses and type-checks one unit. Imports resolve through the
 // unit's ImportMap to compiled export data in PackageFile; the gc
 // export format is self-contained, so transitive dependencies need no
 // entries of their own.
-func Check(u Unit) (*Package, error) {
+func check(u Unit) (*Package, error) {
 	fset := token.NewFileSet()
 	var files []*ast.File
 	for _, name := range u.GoFiles {
@@ -229,9 +142,8 @@ func Check(u Unit) (*Package, error) {
 
 	pkg := &Package{ImportPath: u.ImportPath, Fset: fset, Files: files}
 	conf := &types.Config{
-		Importer:  importer.ForCompiler(fset, "gc", lookup),
-		GoVersion: u.GoVersion,
-		Error:     func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
+		Importer: importer.ForCompiler(fset, "gc", lookup),
+		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
 	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),

@@ -6,12 +6,12 @@
 // over chunked HTTP.
 //
 // The service inherits the simulator's determinism wholesale: a job's
-// stream bytes are identical to `wardrive -stream` with the same spec
-// at any worker count, because stops execute on pre-forked RNGs and
-// merge in street order no matter which pool worker ran them when.
-// Concurrent jobs multiplex the pool without perturbing each other,
-// and a client disconnecting mid-stream only detaches that reader —
-// the job's census and verdicts cannot change.
+// stream bytes are identical to `politewifi wardrive -stream` with the
+// same spec at any worker count, because stops execute on pre-forked
+// RNGs and merge in street order no matter which pool worker ran them
+// when. Concurrent jobs multiplex the pool without perturbing each
+// other, and a client disconnecting mid-stream only detaches that
+// reader — the job's census and verdicts cannot change.
 //
 // Endpoints (all JSON unless noted):
 //

@@ -290,6 +290,27 @@ func TestPMKVector(t *testing.T) {
 	}
 }
 
+// TestKeyringMemoizesPMK: a keyring returns PMK's bytes, derives each
+// (passphrase, SSID) pair once, and keys on both halves of the pair.
+func TestKeyringMemoizesPMK(t *testing.T) {
+	var k Keyring // the zero value is ready to use
+	a := k.PMK("password", "IEEE")
+	if !bytes.Equal(a, PMK("password", "IEEE")) {
+		t.Fatalf("keyring PMK = %x, want %x", a, PMK("password", "IEEE"))
+	}
+	if again := k.PMK("password", "IEEE"); &again[0] != &a[0] || k.Derivations() != 1 {
+		t.Fatalf("repeat lookup derived again (derivations = %d)", k.Derivations())
+	}
+	otherSSID := k.PMK("password", "IEEE2")
+	otherPass := k.PMK("password2", "IEEE")
+	if k.Derivations() != 3 {
+		t.Fatalf("derivations = %d, want 3 distinct pairs", k.Derivations())
+	}
+	if bytes.Equal(otherSSID, a) || bytes.Equal(otherPass, a) || bytes.Equal(otherSSID, otherPass) {
+		t.Fatal("distinct (passphrase, SSID) pairs share a PMK")
+	}
+}
+
 func TestPTKSymmetry(t *testing.T) {
 	pmk := PMK("pass", "net")
 	an := bytes.Repeat([]byte{3}, 32)

@@ -43,10 +43,51 @@ func PBKDF2(password, salt []byte, iter, keyLen int) []byte {
 }
 
 // PMK derives the pairwise master key from a WPA2-Personal
-// passphrase and SSID.
+// passphrase and SSID. Each call runs the full 4096-iteration PBKDF2;
+// code that derives the same key more than once (an AP and its
+// clients) goes through a Keyring instead.
 func PMK(passphrase, ssid string) []byte {
 	return PBKDF2([]byte(passphrase), []byte(ssid), 4096, 32)
 }
+
+// Keyring memoizes PMK by (passphrase, SSID), deriving on a miss, so
+// the stations of one network share one derivation: an AP and its
+// clients each need the same key during their handshakes. The zero
+// value is an empty keyring ready to use; it is not safe for
+// concurrent use.
+//
+// A keyring belongs to one simulation (a wardrive stop) and dies with
+// it, rather than being package-level: every stop then pays the same
+// derivations whichever worker runs it and whatever ran before, a
+// network that never handshakes costs nothing, and no state outlives
+// or crosses goroutines.
+type Keyring struct {
+	pmks        map[keyringKey][]byte
+	derivations int
+}
+
+type keyringKey struct{ passphrase, ssid string }
+
+// PMK returns PMK(passphrase, ssid), deriving it on the first request
+// for the pair. The returned slice is shared by every caller and must
+// not be modified.
+func (k *Keyring) PMK(passphrase, ssid string) []byte {
+	key := keyringKey{passphrase, ssid}
+	pmk, ok := k.pmks[key]
+	if !ok {
+		if k.pmks == nil {
+			k.pmks = make(map[keyringKey][]byte)
+		}
+		pmk = PMK(passphrase, ssid)
+		k.pmks[key] = pmk
+		k.derivations++
+	}
+	return pmk
+}
+
+// Derivations reports how many PBKDF2 derivations the keyring ran:
+// one per distinct (passphrase, SSID) pair requested.
+func (k *Keyring) Derivations() int { return k.derivations }
 
 // PRF implements the IEEE 802.11 PRF-n (HMAC-SHA1 based) used for
 // pairwise key expansion. label is a NUL-terminated application

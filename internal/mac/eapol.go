@@ -77,8 +77,15 @@ func (s *Station) handleEAPOL(d *dot11.Data) bool {
 	return true
 }
 
+// pmk returns the network's pairwise master key from the station's
+// keyring, which derives it once per (passphrase, SSID). A station
+// built without Config.Keys gets a private keyring on first use, so
+// open-network stations never allocate one.
 func (s *Station) pmk() []byte {
-	return crypto80211.PMK(s.passphrase, s.ssid)
+	if s.keys == nil {
+		s.keys = new(crypto80211.Keyring)
+	}
+	return s.keys.PMK(s.passphrase, s.ssid)
 }
 
 // clientEAPOL handles M1 and M3.

@@ -2,6 +2,7 @@ package mac
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"politewifi/internal/crypto80211"
@@ -180,5 +181,126 @@ func TestEAPOLParseErrors(t *testing.T) {
 	}
 	if parsed.Verify([]byte("fedcba9876543210")) {
 		t.Fatal("MIC verified under the wrong KCK")
+	}
+}
+
+// keyringNet is one RSN AP whose stations share a keyring, the way a
+// wardrive stop builds a network.
+type keyringNet struct {
+	m    *radio.Medium
+	rng  *eventsim.RNG
+	keys *crypto80211.Keyring
+	ap   *Station
+}
+
+func newKeyringNet() *keyringNet {
+	n := &keyringNet{m: quietMedium(), rng: eventsim.NewRNG(42), keys: new(crypto80211.Keyring)}
+	n.ap = New(n.m, n.rng, Config{
+		Name: "ap", Addr: apAddr, Role: RoleAP, Profile: ProfileGenericAP,
+		SSID: "HomeNet", Passphrase: "the right passphrase",
+		Position: radio.Position{}, Band: phy.Band2GHz, Channel: 6, Keys: n.keys,
+	})
+	return n
+}
+
+// join creates client i with the given passphrase, starts its
+// association and returns the station and a pointer to its result
+// (-1 pending, 0 failed, 1 joined).
+func (n *keyringNet) join(i int, passphrase string) (*Station, *int) {
+	cl := New(n.m, n.rng, Config{
+		Name: fmt.Sprintf("client%d", i), Addr: dot11.MAC{0xf2, 0x6e, 0x0b, 0x12, 0x34, byte(i)},
+		Role: RoleClient, Profile: ProfileGenericClient,
+		SSID: "HomeNet", Passphrase: passphrase,
+		Position: radio.Position{X: float64(3 + i)}, Band: phy.Band2GHz, Channel: 6, Keys: n.keys,
+	})
+	result := -1
+	cl.Associate(apAddr, func(v bool) {
+		result = 0
+		if v {
+			result = 1
+		}
+	})
+	return cl, &result
+}
+
+// TestKeyringSharedHandshakes: an AP and three clients sharing one
+// keyring complete three 4-way handshakes on one PBKDF2 derivation,
+// where separate derivations would take six (each client on M1, the
+// AP on each M2).
+func TestKeyringSharedHandshakes(t *testing.T) {
+	n := newKeyringNet()
+	var clients []*Station
+	var results []*int
+	for i := 0; i < 3; i++ {
+		cl, res := n.join(i, "the right passphrase")
+		clients = append(clients, cl)
+		results = append(results, res)
+	}
+	n.m.Sched.RunFor(800 * eventsim.Millisecond)
+	for i, cl := range clients {
+		if *results[i] != 1 || cl.Session() == nil {
+			t.Fatalf("client %d: association result %d, session %v", i, *results[i], cl.Session())
+		}
+		if p := n.ap.clients[cl.Addr]; p == nil || p.session == nil {
+			t.Fatalf("AP holds no session for client %d", i)
+		}
+	}
+	if got := n.keys.Derivations(); got != 1 {
+		t.Fatalf("PBKDF2 derivations = %d, want 1", got)
+	}
+}
+
+// TestKeyringWrongPassphrase: a client whose passphrase is wrong gets
+// its own keyring entry, so sharing the AP's keyring lends it nothing:
+// as in TestHandshakeWrongPassphraseFails, no session is installed on
+// either side, while a correct client on the same keyring joins.
+func TestKeyringWrongPassphrase(t *testing.T) {
+	n := newKeyringNet()
+	good, goodRes := n.join(0, "the right passphrase")
+	bad, badRes := n.join(1, "WRONG passphrase")
+	n.m.Sched.RunFor(800 * eventsim.Millisecond)
+	if *goodRes != 1 || good.Session() == nil {
+		t.Fatalf("correct client: association result %d, session %v", *goodRes, good.Session())
+	}
+	if *badRes != 0 {
+		t.Fatalf("wrong-passphrase client: association result %d, want failure (0)", *badRes)
+	}
+	if bad.Session() != nil {
+		t.Fatal("client installed a session with the wrong PMK")
+	}
+	if p := n.ap.clients[bad.Addr]; p != nil && p.session != nil {
+		t.Fatal("AP installed a session for a wrong-PMK client")
+	}
+	if n.ap.Stats.RxDiscarded == 0 {
+		t.Fatal("AP never rejected the bad M2 MIC")
+	}
+	if got := n.keys.Derivations(); got != 2 {
+		t.Fatalf("PBKDF2 derivations = %d, want 2 (one per passphrase)", got)
+	}
+}
+
+// TestPrivateKeyringDerivesOnce: stations built without Config.Keys
+// get a private keyring, which derives the PMK once and reuses it when
+// the client re-joins.
+func TestPrivateKeyringDerivesOnce(t *testing.T) {
+	n := newTestNet(t, ProfileGenericAP, ProfileGenericClient)
+	for round := 0; round < 3; round++ {
+		if round > 0 {
+			n.ap.sendDeauth(clientAddr, dot11.ReasonDeauthLeaving)
+			n.sched.RunFor(100 * eventsim.Millisecond)
+			if n.client.Associated() {
+				t.Fatal("client still associated after AP deauth")
+			}
+		}
+		n.associate(t)
+		if n.client.Session() == nil {
+			t.Fatalf("round %d: no session after the handshake", round)
+		}
+	}
+	if got := n.client.keys.Derivations(); got != 1 {
+		t.Fatalf("client derivations = %d, want 1", got)
+	}
+	if got := n.ap.keys.Derivations(); got != 1 {
+		t.Fatalf("AP derivations = %d, want 1", got)
 	}
 }

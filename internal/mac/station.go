@@ -25,6 +25,10 @@ type Config struct {
 	// BeaconIntervalTU is the AP beacon period in time units
 	// (defaults to 100 TU = 102.4 ms).
 	BeaconIntervalTU uint16
+	// Keys derives the station's PMK. Stations sharing a keyring share
+	// each (passphrase, SSID) derivation; nil gives the station a
+	// private keyring, made on first use.
+	Keys *crypto80211.Keyring
 	// PMF enables 802.11w protected management frames: unicast
 	// deauth/disassoc are CCMP-protected, and unprotected ones from
 	// "the AP" are treated as forgeries. Control frames remain
@@ -51,6 +55,7 @@ type Station struct {
 
 	ssid       string
 	passphrase string
+	keys       *crypto80211.Keyring
 	pmf        bool
 
 	seq uint16
@@ -157,6 +162,7 @@ func New(m *radio.Medium, rng *eventsim.RNG, cfg Config) *Station {
 		band:       cfg.Band,
 		ssid:       cfg.SSID,
 		passphrase: cfg.Passphrase,
+		keys:       cfg.Keys,
 		pmf:        cfg.PMF && cfg.Passphrase != "", // PMF needs keys
 		clients:    make(map[dot11.MAC]*peer),
 		blocklist:  make(map[dot11.MAC]bool),

@@ -297,37 +297,31 @@ func qfunc(x float64) float64 {
 // uncoded expressions with an effective coding gain folded in; they
 // produce the familiar waterfall shape that places the 6 Mbps
 // sensitivity near -92 dBm and 54 Mbps near -74 dBm.
+//
+// The coding-gain factor is a table built once at init (codingGain),
+// and at and above berZeroSNR, where the expression is exactly 0, BER
+// returns 0 without evaluating it. Below that threshold, and for NaN,
+// the expression runs as written. Either way the result has the same
+// float64 bits as evaluating the expression on every call.
 func BER(r Rate, snrDB float64) float64 {
-	snr := math.Pow(10, snrDB/10)
-	// Effective coding gain (dB) by code rate.
-	var gain float64
-	switch r.Mbps {
-	case 6, 12, 24:
-		gain = 4.0 // rate 1/2
-	case 9, 18, 36, 48:
-		gain = 3.0 // rate 3/4 (48 uses 2/3)
-	case 54:
-		gain = 2.5
-	default:
-		gain = 0
+	class := codeClass(r)
+	if knownMod(r.Mod) && snrDB >= berZeroSNR[r.Mod][class] {
+		return 0
 	}
-	snr *= math.Pow(10, gain/10)
-	switch r.Mod {
-	case ModDSSS, ModBPSK:
-		return qfunc(math.Sqrt(2 * snr))
-	case ModQPSK:
-		return qfunc(math.Sqrt(snr))
-	case Mod16QAM:
-		return 0.75 * qfunc(math.Sqrt(snr/5))
-	case Mod64QAM:
-		return 7.0 / 12 * qfunc(math.Sqrt(snr/21))
-	}
-	return 0.5
+	return berAWGN(r.Mod, class, snrDB)
 }
 
 // FER returns the frame error rate for a frame of length bytes at the
 // given SNR, assuming independent bit errors.
+//
+// At and above ferZeroSNR the bit error rate is so small that 1-BER
+// rounds to 1, so the result is exactly 0 for every length; FER
+// returns 0 there without evaluating BER. Elsewhere it runs as
+// written, and the result has the same float64 bits either way.
 func FER(r Rate, snrDB float64, length int) float64 {
+	if knownMod(r.Mod) && snrDB >= ferZeroSNR[r.Mod][codeClass(r)] {
+		return 0
+	}
 	ber := BER(r, snrDB)
 	if ber <= 0 {
 		return 0
@@ -345,10 +339,98 @@ func FER(r Rate, snrDB float64, length int) float64 {
 	return fer
 }
 
+// codingGainDB is the effective coding gain (dB) of each code-rate
+// class codeClass assigns, and codingGain its linear factor
+// math.Pow(10, gain/10), evaluated once instead of on every BER call.
+var (
+	codingGainDB = [...]float64{0, 4.0, 3.0, 2.5}
+	codingGain   = func() (t [len(codingGainDB)]float64) {
+		for i, g := range codingGainDB {
+			t[i] = math.Pow(10, g/10)
+		}
+		return t
+	}()
+)
+
+// codeClass indexes codingGainDB by the rate's code rate.
+func codeClass(r Rate) int {
+	switch r.Mbps {
+	case 6, 12, 24:
+		return 1 // rate 1/2
+	case 9, 18, 36, 48:
+		return 2 // rate 3/4 (48 uses 2/3)
+	case 54:
+		return 3
+	}
+	return 0
+}
+
+// knownMod reports whether berAWGN has an expression for mod (other
+// values give a constant 0.5 and have no zero threshold).
+func knownMod(mod Modulation) bool { return mod >= ModDSSS && mod <= Mod64QAM }
+
+// berAWGN is BER's expression: the modulation's AWGN error rate at
+// snrDB with the class's coding gain applied.
+func berAWGN(mod Modulation, class int, snrDB float64) float64 {
+	snr := math.Pow(10, snrDB/10)
+	snr *= codingGain[class]
+	switch mod {
+	case ModDSSS, ModBPSK:
+		return qfunc(math.Sqrt(2 * snr))
+	case ModQPSK:
+		return qfunc(math.Sqrt(snr))
+	case Mod16QAM:
+		return 0.75 * qfunc(math.Sqrt(snr/5))
+	case Mod64QAM:
+		return 7.0 / 12 * qfunc(math.Sqrt(snr/21))
+	}
+	return 0.5
+}
+
+// zeroMarginDB is added to each bisected threshold below. Past the
+// bisected point the error rate keeps falling steeply (0.5 dB raises
+// the Erfc argument by about 6%), so rounding in Pow or Sqrt cannot
+// bring a result above the threshold back to a non-zero value.
+const zeroMarginDB = 0.5
+
+// berZeroSNR[mod][class] is an SNR (dB) at and above which
+// berAWGN(mod, class, ·) is exactly 0: math.Erfc underflows to 0 near
+// an argument of 27.2 and returns exactly 0 from 28 on, which the
+// margin clears. ferZeroSNR[mod][class] is an SNR at and above which
+// 1-berAWGN(mod, class, ·) rounds to 1 (BER at most 2^-54), so FER is
+// exactly 0 whatever the length.
+var (
+	berZeroSNR = zeroSNRTable(func(ber float64) bool { return ber == 0 })
+	ferZeroSNR = zeroSNRTable(func(ber float64) bool { return 1-ber == 1 })
+)
+
+// zeroSNRTable bisects, per modulation and code-rate class, for the
+// lowest SNR at which isZero holds of the unchanged BER expression,
+// and adds zeroMarginDB.
+func zeroSNRTable(isZero func(ber float64) bool) (t [Mod64QAM + 1][len(codingGainDB)]float64) {
+	for mod := range t {
+		for class := range t[mod] {
+			lo, hi := -40.0, 400.0 // BER is near 0.5 at lo and 0 at hi
+			for i := 0; i < 100; i++ {
+				mid := (lo + hi) / 2
+				if isZero(berAWGN(Modulation(mod), class, mid)) {
+					hi = mid
+				} else {
+					lo = mid
+				}
+			}
+			t[mod][class] = hi + zeroMarginDB
+		}
+	}
+	return t
+}
+
 // MinSNR returns the SNR (dB) at which the rate achieves a 10% FER
-// for a 1000-byte frame. It bisects over FER (400 calls), so
+// for a 1000-byte frame. It bisects over FER (50 calls per rate), so
 // PickRate does not call it: it reads ofdmMinSNR, a table built from
-// MinSNR once at init.
+// MinSNR once at init. FER's zero thresholds do not move the result:
+// FER returns the same bits with or without them, so the bisection
+// takes the same steps.
 func MinSNR(r Rate) float64 {
 	lo, hi := -10.0, 40.0
 	for i := 0; i < 50; i++ {

@@ -281,6 +281,113 @@ func TestPickRateMatchesBisection(t *testing.T) {
 	}
 }
 
+// refBER evaluates BER's expression in full on every call, with the
+// coding gain computed inline: the reference that the coding-gain
+// table and the zero thresholds must match bit for bit.
+func refBER(r Rate, snrDB float64) float64 {
+	snr := math.Pow(10, snrDB/10)
+	var gain float64
+	switch r.Mbps {
+	case 6, 12, 24:
+		gain = 4.0
+	case 9, 18, 36, 48:
+		gain = 3.0
+	case 54:
+		gain = 2.5
+	default:
+		gain = 0
+	}
+	snr *= math.Pow(10, gain/10)
+	switch r.Mod {
+	case ModDSSS, ModBPSK:
+		return qfunc(math.Sqrt(2 * snr))
+	case ModQPSK:
+		return qfunc(math.Sqrt(snr))
+	case Mod16QAM:
+		return 0.75 * qfunc(math.Sqrt(snr/5))
+	case Mod64QAM:
+		return 7.0 / 12 * qfunc(math.Sqrt(snr/21))
+	}
+	return 0.5
+}
+
+// refFERFromBER is the rest of the reference FER, given refBER's
+// result for the same rate and SNR.
+func refFERFromBER(ber float64, length int) float64 {
+	if ber <= 0 {
+		return 0
+	}
+	if ber >= 0.5 {
+		return 1
+	}
+	fer := 1 - math.Pow(1-ber, float64(8*length))
+	if fer < 0 {
+		return 0
+	}
+	if fer > 1 {
+		return 1
+	}
+	return fer
+}
+
+// TestBERFERMatchReference checks BER and FER against the reference
+// copies above, comparing float64 bits: every rate the package
+// defines, plus one made-up rate for each (modulation, code rate)
+// pair no defined rate has, at -40…150 dB in 0.001 dB steps, each
+// zero threshold and its float64 neighbours, ±Inf and NaN. A result
+// that differed in any bit would change a Coin draw and with it every
+// drive downstream.
+func TestBERFERMatchReference(t *testing.T) {
+	rates := append(append([]Rate{Rate1, Rate2, Rate5x5, Rate11}, OFDMRates...), htRates...)
+	var covered [Mod64QAM + 1][len(codingGainDB)]bool
+	for _, r := range rates {
+		covered[r.Mod][codeClass(r)] = true
+	}
+	classMbps := [len(codingGainDB)]float64{1, 6, 9, 54}
+	for mod := range covered {
+		for class, ok := range covered[mod] {
+			if !ok {
+				rates = append(rates, Rate{Mbps: classMbps[class], Mod: Modulation(mod)})
+			}
+		}
+	}
+	lengths := []int{14, 24, 1000, 1500}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	failures := 0
+	check := func(r Rate, snr float64) {
+		want := refBER(r, snr)
+		if got := BER(r, snr); !same(got, want) {
+			t.Errorf("BER(%v, %v) = %v (%#x), reference %v (%#x)", r, snr, got, math.Float64bits(got), want, math.Float64bits(want))
+			failures++
+		}
+		for _, n := range lengths {
+			if got, want := FER(r, snr, n), refFERFromBER(want, n); !same(got, want) {
+				t.Errorf("FER(%v, %v, %d) = %v (%#x), reference %v (%#x)", r, snr, n, got, math.Float64bits(got), want, math.Float64bits(want))
+				failures++
+			}
+		}
+		if failures > 20 {
+			t.FailNow()
+		}
+	}
+	for _, r := range rates {
+		for i := -40000; i <= 150000; i++ {
+			check(r, float64(i)/1000)
+		}
+		for _, table := range [][Mod64QAM + 1][len(codingGainDB)]float64{berZeroSNR, ferZeroSNR} {
+			edge := table[r.Mod][codeClass(r)]
+			check(r, math.Nextafter(edge, math.Inf(-1)))
+			check(r, edge)
+			check(r, math.Nextafter(edge, math.Inf(1)))
+		}
+		for _, snr := range []float64{math.Inf(-1), math.Inf(1), math.NaN()} {
+			check(r, snr)
+		}
+	}
+}
+
 func TestSNRFromRSSI(t *testing.T) {
 	if got := SNRFromRSSI(-64); got != 30 {
 		t.Fatalf("SNRFromRSSI(-64) = %v, want 30", got)
@@ -302,9 +409,22 @@ func BenchmarkAirtime(b *testing.B) {
 	}
 }
 
+// BenchmarkFER times FER below its zero threshold, where the full
+// expression runs, and above it, where FER returns 0 from a table
+// lookup.
 func BenchmarkFER(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		FER(Rate54, 25, 1500)
+	for _, bc := range []struct {
+		name string
+		snr  float64
+	}{
+		{"below_zero", 25},
+		{"above_zero", ferZeroSNR[Mod64QAM][codeClass(Rate54)] + 1},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				FER(Rate54, bc.snr, 1500)
+			}
+		})
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 
 	"politewifi/internal/arena"
 	"politewifi/internal/core"
+	"politewifi/internal/crypto80211"
 	"politewifi/internal/dot11"
 	"politewifi/internal/eventsim"
 	"politewifi/internal/faults"
@@ -721,6 +722,11 @@ type stopResult struct {
 	framelog *replay.StopLog
 	// simEnd is the stop's final virtual time.
 	simEnd eventsim.Time
+	// derivations counts the stop's PBKDF2 runs (one per RSN network
+	// that handshook). Only tests read it: it stays out of Result,
+	// telemetry and the stream so their bytes do not depend on how
+	// keys are derived.
+	derivations int
 }
 
 // absorb folds one stop's shard into the drive-wide result.
@@ -814,12 +820,16 @@ func runStop(rng *eventsim.RNG, index int, stop Stop, cfg Config) *stopResult {
 		nDevs += 1 + len(h.Clients)
 	}
 	devices := make([]liveDev, 0, nDevs)
+	// One keyring per stop: a network's AP and clients all live in
+	// this stop, so each RSN household's PMK is derived once here
+	// instead of once per handshake side.
+	keys := new(crypto80211.Keyring)
 
 	for _, h := range stop.Households {
 		ap := mac.New(med, rng.Fork(), mac.Config{
 			Name: "ap-" + h.AP.MAC.String(), Addr: h.AP.MAC, Role: mac.RoleAP,
 			Profile: h.AP.Profile, SSID: h.AP.SSID, Passphrase: h.Passphrase,
-			Position: h.Pos, Band: h.Band, Channel: h.Channel,
+			Position: h.Pos, Band: h.Band, Channel: h.Channel, Keys: keys,
 		})
 		ap.SetMetrics(macMx)
 		devices = append(devices, liveDev{h.AP, ap})
@@ -833,7 +843,7 @@ func runStop(rng *eventsim.RNG, index int, stop Stop, cfg Config) *stopResult {
 			st := mac.New(med, rng.Fork(), mac.Config{
 				Name: "cl-" + cl.MAC.String(), Addr: cl.MAC, Role: mac.RoleClient,
 				Profile: cl.Profile, SSID: cl.SSID, Passphrase: h.Passphrase,
-				Position: pos, Band: h.Band, Channel: h.Channel,
+				Position: pos, Band: h.Band, Channel: h.Channel, Keys: keys,
 			})
 			st.SetMetrics(macMx)
 			if h.Band == phy.Band5GHz {
@@ -927,6 +937,7 @@ func runStop(rng *eventsim.RNG, index int, stop Stop, cfg Config) *stopResult {
 		cursor.Close()
 	}
 	sh.simEnd = sched.Now()
+	sh.derivations = keys.Derivations()
 	return sh
 }
 

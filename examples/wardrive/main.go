@@ -1,15 +1,14 @@
-// Wardrive with the paper's three-thread pipeline (§3), run with real
-// goroutines.
+// Wardrive with the paper's three-worker pipeline (§3).
 //
 // The paper's measurement program is "a multi-threaded program using
 // the Scapy library": a discovery thread sniffing for unseen MACs, an
 // injector thread sending fake frames to the target list, and a
-// verifier thread matching the ACKs back. This example runs that
-// exact pipeline as three goroutines connected by channels, bridged
-// onto the deterministic simulation with internal/rt, against a small
-// neighbourhood — then prints the census.
+// verifier thread matching the ACKs back. core.Scanner runs those
+// three workers cooperatively on the simulation's event loop, so the
+// same seed prints the same census every run. This example points it
+// at a small street of homes and prints the census.
 //
-// Run: go run ./examples/wardrive        (use -race to see it's clean)
+// Run: go run ./examples/wardrive
 package main
 
 import (
@@ -21,7 +20,6 @@ import (
 	"politewifi/internal/mac"
 	"politewifi/internal/phy"
 	"politewifi/internal/radio"
-	"politewifi/internal/rt"
 )
 
 func main() {
@@ -57,14 +55,13 @@ func main() {
 	// The roof-mounted dongle.
 	attacker := core.NewAttacker(medium, radio.Position{X: 44, Y: 12},
 		phy.Band2GHz, 6, core.DefaultFakeMAC)
+	scanner := core.NewScanner(attacker)
 
-	// From here on, the simulation belongs to the bridge; the three
-	// pipeline goroutines interact with it only through rt.Bridge.
-	bridge := rt.NewBridge(sched)
-	scanner := core.NewConcurrentScanner(attacker, bridge)
-
-	fmt.Println("running discovery/injector/verifier goroutine pipeline…")
-	tally := scanner.Run(5 * eventsim.Second)
+	fmt.Println("running the discovery/injector/verifier pipeline…")
+	scanner.Start()
+	sched.RunFor(5 * eventsim.Second)
+	scanner.Stop()
+	tally := scanner.Tally()
 
 	fmt.Printf("\n%-20s %-8s %-10s %7s %6s %s\n", "MAC", "Kind", "SSID", "Probes", "ACKs", "Polite?")
 	for _, d := range scanner.Devices() {
@@ -73,13 +70,6 @@ func main() {
 	}
 	fmt.Printf("\n%d devices (%d clients, %d APs) — %d responded to fake frames (%.0f%%)\n",
 		tally.Total, tally.Clients, tally.APs, tally.TotalResponded,
-		100*float64(tally.TotalResponded)/float64(maxInt(1, tally.Total)))
+		100*float64(tally.TotalResponded)/float64(max(1, tally.Total)))
 	fmt.Println("the paper found the same for all 5,328 devices it met; run `politewifi wardrive` for the full census.")
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

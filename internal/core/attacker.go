@@ -48,14 +48,14 @@ type Attacker struct {
 	corruptHandlers []func(rx radio.Reception)
 
 	// Zero-alloc sniffing and injection state: dec parses each
-	// reception into pooled per-type structs (see RetainFrames),
-	// wireScratch backs serialization (the medium copies transmitted
-	// bytes), and the canonical fake frames are reused across injects.
-	dec          dot11.Decoder
-	retainFrames bool
-	wireScratch  []byte
-	nullFrame    dot11.Data
-	rtsFrame     dot11.RTS
+	// reception into pooled per-type structs (valid only for the
+	// duration of the OnFrame callbacks), wireScratch backs
+	// serialization (the medium copies transmitted bytes), and the
+	// canonical fake frames are reused across injects.
+	dec         dot11.Decoder
+	wireScratch []byte
+	nullFrame   dot11.Data
+	rtsFrame    dot11.RTS
 
 	// Stats.
 	Injected     uint64
@@ -96,13 +96,6 @@ func (a *Attacker) OnCorrupt(h func(rx radio.Reception)) {
 	a.corruptHandlers = append(a.corruptHandlers, h)
 }
 
-// RetainFrames makes every OnFrame callback receive a freshly
-// allocated frame it may keep indefinitely. By default frames are
-// decoded into pooled structs that are only valid for the duration of
-// the callback — consumers that hand frames to another goroutine (the
-// concurrent scanner's sniffer ring) must opt out of pooling.
-func (a *Attacker) RetainFrames() { a.retainFrames = true }
-
 func (a *Attacker) onReceive(rx radio.Reception) {
 	if !rx.FCSOK {
 		a.FCSErrors++
@@ -111,15 +104,7 @@ func (a *Attacker) onReceive(rx radio.Reception) {
 		}
 		return
 	}
-	var (
-		f   dot11.Frame
-		err error
-	)
-	if a.retainFrames {
-		f, err = dot11.Decode(rx.Data)
-	} else {
-		f, err = a.dec.Decode(rx.Data)
-	}
+	f, err := a.dec.Decode(rx.Data)
 	if err != nil {
 		return
 	}

@@ -5,10 +5,7 @@ import (
 )
 
 // PipelineMetrics instruments the wardriving pipeline (the "pipeline"
-// and "core" families). Both Scanner implementations share the same
-// metric names: they are alternative drivers of the same paper
-// pipeline, and a run uses one of them. The zero value records
-// nothing.
+// and "core" families). The zero value records nothing.
 type PipelineMetrics struct {
 	Discovered     *telemetry.Counter
 	ProbesInjected *telemetry.Counter
@@ -22,23 +19,9 @@ type PipelineMetrics struct {
 	// SIFS-attributed response back, retries included.
 	ExchangeLatencyUS *telemetry.Histogram
 
-	// Channel queue depths (ConcurrentScanner only): set at each send,
-	// so Max is the depth high-water mark.
-	FrameChDepth  *telemetry.Gauge
-	TargetChDepth *telemetry.Gauge
-	EventChDepth  *telemetry.Gauge
-
-	// Per-worker processed-item counts (ConcurrentScanner only).
-	WorkerDiscovery *telemetry.Counter
-	WorkerInjector  *telemetry.Counter
-	WorkerVerifier  *telemetry.Counter
-
-	// Degraded-channel instruments, registered only via
+	// Degraded-channel verdicts, registered only via
 	// EnableFaultInstruments so a pristine run's report stays
 	// byte-identical: nil fields record nothing.
-	BusyParks           *telemetry.Counter
-	Retries             *telemetry.Counter
-	BackoffUS           *telemetry.Histogram
 	VerdictSilent       *telemetry.Counter
 	VerdictInconclusive *telemetry.Counter
 }
@@ -54,31 +37,20 @@ func NewPipelineMetrics(reg *telemetry.Registry) PipelineMetrics {
 			"sim time from probe to verdict (µs)", telemetry.TimeBucketsUS),
 		ExchangeLatencyUS: reg.Histogram("pipeline.exchange_latency_us",
 			"sim time from a target's first probe to its verified response (µs)", telemetry.TimeBucketsUS),
-		FrameChDepth:    reg.Gauge("pipeline.chan.frames", "sniffer→discovery queue depth"),
-		TargetChDepth:   reg.Gauge("pipeline.chan.targets", "discovery→injector queue depth"),
-		EventChDepth:    reg.Gauge("pipeline.chan.events", "sim→verifier queue depth"),
-		WorkerDiscovery: reg.Counter("pipeline.worker.discovery", "frames processed by the discovery worker"),
-		WorkerInjector:  reg.Counter("pipeline.worker.injector", "probe attempts by the injector worker"),
-		WorkerVerifier:  reg.Counter("pipeline.worker.verifier", "events processed by the verifier worker"),
 	}
 }
 
 // EnableFaultInstruments registers the degraded-channel instruments
-// (retries, busy parks, backoff time, silent/inconclusive verdicts).
-// They are split from NewPipelineMetrics on purpose: every registered
-// instrument appears in the snapshot even at zero, so attaching them
-// unconditionally would change the telemetry report of runs that
-// never see a fault.
+// (silent/inconclusive verdicts). They are split from
+// NewPipelineMetrics on purpose: every registered instrument appears
+// in the snapshot even at zero, so attaching them unconditionally
+// would change the telemetry report of runs that never see a fault.
 func (m *PipelineMetrics) EnableFaultInstruments(reg *telemetry.Registry) {
-	m.BusyParks = reg.Counter("pipeline.busy_parks", "probe attempts parked on a busy transmitter")
-	m.Retries = reg.Counter("pipeline.retries", "probes re-sent after an unanswered attempt")
-	m.BackoffUS = reg.Histogram("pipeline.backoff_us",
-		"sim time spent in retry backoff per park (µs)", telemetry.TimeBucketsUS)
 	m.VerdictSilent = reg.Counter("pipeline.verdicts.silent", "targets that spent a clean probe budget unanswered")
 	m.VerdictInconclusive = reg.Counter("pipeline.verdicts.inconclusive", "targets without a clean verdict (lossy/contended/budget-starved)")
 }
 
-// SetMetrics installs pipeline telemetry on the cooperative scanner.
+// SetMetrics installs pipeline telemetry on the scanner.
 // Fault instruments stay detached; drivers running under channel
 // faults add them with EnableFaultInstruments.
 func (s *Scanner) SetMetrics(reg *telemetry.Registry) {
@@ -86,16 +58,8 @@ func (s *Scanner) SetMetrics(reg *telemetry.Registry) {
 }
 
 // EnableFaultInstruments attaches the degraded-channel instruments to
-// the cooperative scanner. Call after SetMetrics.
+// the scanner. Call after SetMetrics.
 func (s *Scanner) EnableFaultInstruments(reg *telemetry.Registry) {
-	s.metrics.EnableFaultInstruments(reg)
-}
-
-// SetMetrics installs pipeline telemetry on the concurrent scanner.
-// Call before Run. The concurrent pipeline always reports its full
-// three-state verdicts, so the fault instruments come attached.
-func (s *ConcurrentScanner) SetMetrics(reg *telemetry.Registry) {
-	s.metrics = NewPipelineMetrics(reg)
 	s.metrics.EnableFaultInstruments(reg)
 }
 

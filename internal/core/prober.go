@@ -1,6 +1,7 @@
 package core
 
 import (
+	"hash/fnv"
 	"sort"
 
 	"politewifi/internal/dot11"
@@ -179,6 +180,28 @@ func (p *Prober) finish() {
 		p.onComplete = nil
 		done(p.res)
 	}
+}
+
+// backoffDelay computes the nth backoff wait: base·2^(n−1) capped at
+// max, plus jitter in [0, base) derived by hashing the target and
+// attempt. The jitter is deliberately not drawn from the simulation
+// RNG: a busy retry would then shift the seeded stream every later
+// draw reads, so one refunded attempt would perturb the whole run.
+func backoffDelay(base, max eventsim.Time, n int, target dot11.MAC) eventsim.Time {
+	if base <= 0 {
+		return 0
+	}
+	d := base
+	for i := 1; i < n && d < max; i++ {
+		d *= 2
+	}
+	if max > 0 && d > max {
+		d = max
+	}
+	h := fnv.New64a()
+	h.Write(target[:])
+	h.Write([]byte{byte(n), byte(n >> 8)})
+	return d + eventsim.Time(h.Sum64()%uint64(base))
 }
 
 // onCorrupt marks the open attribution window lossy: something

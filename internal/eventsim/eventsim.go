@@ -243,8 +243,8 @@ func (s *Scheduler) Now() Time { return s.now }
 
 // ObservedNow is a race-free snapshot of the virtual clock, readable
 // from any goroutine without the simulation lock. It is updated as
-// each event fires, so telemetry read from worker goroutines can
-// stamp observations without deadlocking on an rt.Bridge.
+// each event fires, so a registry read from another goroutine can
+// stamp observations without racing the simulation.
 func (s *Scheduler) ObservedNow() Time { return Time(s.nowAtomic.Load()) }
 
 // Len reports the number of pending events. Cancelled events still

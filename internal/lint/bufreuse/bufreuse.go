@@ -7,8 +7,9 @@
 // fine; letting them cross a goroutine boundary or land in a
 // package-level variable is not, because the consumer reads them
 // after the arena has been rewound and the backing memory rewritten
-// by a later stop — the silent-corruption class that
-// Attacker.RetainFrames exists to opt out of.
+// by a later stop — the silent-corruption class. core.Attacker's
+// pooled decoder follows the same rule: a sniffed frame is valid only
+// inside the OnFrame callback that receives it.
 //
 // The analyzer tracks pooled values — expressions of a named
 // Reception type, selectors of their Data field, results of an
@@ -75,7 +76,7 @@ func (c *checker) check(body *ast.BlockStmt) {
 		case *ast.SendStmt:
 			if c.pooled(n.Value) {
 				c.pass.Reportf(n.Pos(),
-					"pooled buffer sent on a channel: reception/arena bytes are recycled at stop reset, so the consumer may read rewritten memory; copy first (append([]byte(nil), b...)) or opt out of pooling (Attacker.RetainFrames), or carry a //politevet:allow bufreuse(reason) directive")
+					"pooled buffer sent on a channel: reception/arena bytes are recycled at stop reset, so the consumer may read rewritten memory; copy first (append([]byte(nil), b...)), or carry a //politevet:allow bufreuse(reason) directive")
 			}
 		case *ast.CallExpr:
 			c.escapingArgs(n)

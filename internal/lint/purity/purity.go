@@ -6,9 +6,9 @@
 // Downstream analyzers (wallclock, globalrand, simsleep, bufreuse,
 // durwrap) import these facts for their callees, which upgrades them
 // from "direct call" to "transitively reachable" checks: a helper in
-// internal/rt that reads time.Now taints every caller in
+// internal/eventsim that reads time.Now taints every caller in
 // internal/world, and the diagnostic carries the full call chain
-// (world.Run → rt.poll → time.Now).
+// (world.Run → eventsim.poll → time.Now).
 //
 // Taint carries a sanctioned bit. A //politevet:allow directive on
 // the source line (or a cmd/ allowlisted package) marks the taint
@@ -58,7 +58,7 @@ type Trace struct {
 	Sanctioned bool
 	Reason     string
 	// Chain lists display hops from this function down to the source,
-	// e.g. ["rt.Poll", "time.Now at internal/rt/rt.go:42"].
+	// e.g. ["eventsim.poll", "time.Now at internal/eventsim/eventsim.go:42"].
 	Chain []string
 }
 

@@ -2,9 +2,9 @@
 // without yielding. In a discrete-event simulator, time only advances
 // when the event queue runs; a loop that re-checks a predicate
 // without scheduling anything (`for s.Busy() {}`) spins forever at
-// the same instant — the hot-spin class fixed by
-// core.ConcurrentScanner.simSleep and the capped busy-parks in the
-// hostile-channel work.
+// the same instant — the hot-spin class the hostile-channel work
+// fixed with sim-time backoff waits and capped busy-parks (see
+// core.Prober's busy retry).
 //
 // Detection lives in the purity fact pass (purity.FindSpins), which
 // this analyzer wraps for reporting. Since the interprocedural
@@ -25,14 +25,14 @@ var Analyzer = &analysis.Analyzer{
 	Name: "simsleep",
 	Doc: "flag busy-wait loops that poll sim state via calls but never yield (no channel op, " +
 		"select, or call that can advance simulated time — judged against purity facts); " +
-		"park on a scheduler event or simSleep-style wait",
+		"park on a scheduler event or a sim-time wait",
 	Run: run,
 }
 
 func run(pass *analysis.Pass) error {
 	for _, spin := range purity.FindSpins(pass) {
 		pass.Reportf(spin.Pos,
-			"for-loop polls %s without yielding: nothing in the body schedules, waits, or calls anything that can advance simulated time, so the loop spins (the core.ConcurrentScanner.simSleep hot-spin class); park on a scheduler event or a simSleep-style wait, or carry a //politevet:allow simsleep(reason) directive",
+			"for-loop polls %s without yielding: nothing in the body schedules, waits, or calls anything that can advance simulated time, so the loop spins at one simulated instant; park on a scheduler event or a sim-time wait, or carry a //politevet:allow simsleep(reason) directive",
 			spin.Polled)
 	}
 	return nil

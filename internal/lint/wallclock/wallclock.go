@@ -9,9 +9,9 @@
 // this package. The transitive check consults the purity fact pass
 // (DESIGN.md §5j): a call to any function whose purity signature
 // carries an unsanctioned wallclock taint is reported with the full
-// chain down to the clock read — `world.Run → rt.poll → time.Now at
-// internal/rt/rt.go:42` — so a helper extracted around a clock read
-// no longer hides it.
+// chain down to the clock read — `world.Run → eventsim.poll →
+// time.Now at internal/eventsim/eventsim.go:42` — so a helper
+// extracted around a clock read no longer hides it.
 package wallclock
 
 import (

@@ -7,8 +7,8 @@
 // Everything here is zero-dependency (standard library plus the
 // eventsim clock type) and safe for concurrent use: counters are
 // atomic, gauges and histograms take a short mutex, so instruments
-// may be updated both from inside the single-threaded simulation and
-// from worker goroutines serialised through rt.Bridge.
+// may be updated from inside the single-threaded simulation while
+// other goroutines read them.
 //
 // Metrics are virtual-time-stamped on purpose: the simulator's
 // ground truth is the event clock, not the wall clock. A counter's

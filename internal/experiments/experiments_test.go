@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"politewifi/internal/core"
 	"politewifi/internal/eventsim"
+	"politewifi/internal/world"
 )
 
 const seed = 20201104
@@ -119,6 +121,20 @@ func TestTable2Scaled(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Table 2 render missing %q", want)
 		}
+	}
+}
+
+// TestTable2RendersInconclusiveNonResponder holds the non-responder
+// line to the verdicts: a pristine drive's Inconclusive device is a
+// device the channel left unclassified, not one out of RF range.
+func TestTable2RendersInconclusiveNonResponder(t *testing.T) {
+	res := &world.Result{
+		ClientsDiscovered: 2, ClientsResponded: 1, Inconclusive: 1,
+		NonResponders: []world.DeviceOutcome{{Probes: 3, Verdict: core.VerdictInconclusive}},
+	}
+	out := Table2FromResult(res).Render()
+	if want := "non-responders: 1 (1 inconclusive, 0 silent)"; !strings.Contains(out, want) {
+		t.Fatalf("Table 2 render missing %q:\n%s", want, out)
 	}
 }
 

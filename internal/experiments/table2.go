@@ -116,16 +116,11 @@ func (r *Table2Result) Render() string {
 	fmt.Fprintf(&b, "responded to fake frames: %d (%.1f%%)\n",
 		r.Run.TotalResponded(), 100*r.ResponseRate)
 	if len(r.Run.NonResponders) > 0 {
-		if r.Run.Faulted {
-			// Under injected faults the binary split is dishonest: report
-			// how many non-responders are channel casualties rather than
-			// confirmed silents.
-			fmt.Fprintf(&b, "non-responders: %d (%d inconclusive under channel faults, %d silent)\n",
-				len(r.Run.NonResponders), r.Run.Inconclusive,
-				len(r.Run.NonResponders)-r.Run.Inconclusive)
-		} else {
-			fmt.Fprintf(&b, "non-responders: %d (out of RF range during their stop)\n", len(r.Run.NonResponders))
-		}
+		// Report how many non-responders the channel left unclassified
+		// (lossy or contended probes) rather than confirmed silent.
+		fmt.Fprintf(&b, "non-responders: %d (%d inconclusive, %d silent)\n",
+			len(r.Run.NonResponders), r.Run.Inconclusive,
+			len(r.Run.NonResponders)-r.Run.Inconclusive)
 	}
 	return b.String()
 }

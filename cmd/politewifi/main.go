@@ -17,6 +17,7 @@
 //	politewifi tail    [-fold FILE] STREAM       render a flight-recorder stream ("-" = stdin)
 //	politewifi replay  [-workers N] LOG      re-run a recorded drive and diff it against a live run
 //	politewifi fuzz    [-n N] [-seed S] [-artifacts DIR]  differential scenario fuzzer over random jobspecs
+//	politewifi experiments [-quick] [-scale F] [-out DIR] [-only NAME]  every table and figure of the paper
 //
 // wardrive shards the drive's RF-independent stops over -workers
 // goroutines (default: all cores); the census is bit-identical for
@@ -80,7 +81,7 @@ import (
 )
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: politewifi <probe|scan|drain|sense|sifs|jam|deauth|locate|stats|wardrive|losssweep|tail|replay|fuzz> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: politewifi <probe|scan|drain|sense|sifs|jam|deauth|locate|stats|wardrive|losssweep|tail|replay|fuzz|experiments> [flags]")
 	os.Exit(2)
 }
 
@@ -234,6 +235,8 @@ func main() {
 		cmdReplay(args)
 	case "fuzz":
 		cmdFuzz(args)
+	case "experiments":
+		cmdExperiments(args)
 	default:
 		usage()
 	}

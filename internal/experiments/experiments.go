@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation. Each experiment returns a structured result
 // with a Render method that prints the same rows/series the paper
-// reports; cmd/experiments runs them all, and the repository's
+// reports; `politewifi experiments` runs them all, and the repository's
 // benchmark harness (bench_test.go) wraps each one in a testing.B
 // target.
 //

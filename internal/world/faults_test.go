@@ -50,9 +50,6 @@ func TestWardriveFaultsParallelDeterminism(t *testing.T) {
 	if resSeq.Total() == 0 {
 		t.Fatal("determinism check ran on an empty drive")
 	}
-	if !resSeq.Faulted {
-		t.Fatal("Result.Faulted not set on a faulted run")
-	}
 
 	var bufSeq, bufPar bytes.Buffer
 	if err := regSeq.Snapshot().WriteJSON(&bufSeq); err != nil {
@@ -91,9 +88,6 @@ func TestWardriveFaultsOffUnchanged(t *testing.T) {
 	resDis := Run(disabled)
 	if !reflect.DeepEqual(resPlain, resDis) {
 		t.Fatal("a disabled faults config changed the census")
-	}
-	if resPlain.Faulted {
-		t.Fatal("Result.Faulted set on a pristine run")
 	}
 
 	var bufPlain, bufDis bytes.Buffer

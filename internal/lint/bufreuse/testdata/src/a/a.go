@@ -13,7 +13,7 @@ type Arena struct{ buf []byte }
 
 func (a *Arena) Alloc(n int) []byte { return a.buf[:n] }
 
-// event mirrors the concurrent scanner's frameEvent.
+// event is a capture-ring item wrapping a reception.
 type event struct {
 	rx      Reception
 	payload []byte
@@ -35,7 +35,7 @@ func sendsData(ch chan []byte, rx Reception) {
 }
 
 // sendsWrapped hides the reception inside a composite local first —
-// the concurrent scanner's frameEvent shape.
+// a capture ring's item shape.
 func sendsWrapped(ch chan event, rx Reception) {
 	ev := event{rx: rx}
 	ch <- ev // want "pooled buffer sent on a channel"

@@ -22,8 +22,6 @@ type Arena struct {
 	used  int
 	spent [][]byte // exhausted chunks, reclaimed by Reset
 	spare [][]byte // reclaimed chunks awaiting reuse
-
-	footprint int // total bytes of chunk capacity ever allocated
 }
 
 // New returns an empty arena. Equivalent to new(Arena); provided so
@@ -64,7 +62,6 @@ func (a *Arena) grow(n int) {
 		size = n
 	}
 	a.cur = make([]byte, size)
-	a.footprint += size
 	a.used = 0
 }
 
@@ -80,7 +77,3 @@ func (a *Arena) Reset() {
 	a.spent = a.spent[:0]
 	a.used = 0
 }
-
-// Footprint reports the total chunk capacity the arena has allocated
-// over its lifetime (retained across Resets).
-func (a *Arena) Footprint() int { return a.footprint }

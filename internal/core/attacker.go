@@ -79,9 +79,6 @@ func NewAttacker(m *radio.Medium, pos radio.Position, band phy.Band, channel int
 	return a
 }
 
-// Sched exposes the simulation scheduler for drivers built on top.
-func (a *Attacker) Sched() *eventsim.Scheduler { return a.sched }
-
 // OnFrame registers a monitor-mode callback invoked for every
 // correctly received frame.
 func (a *Attacker) OnFrame(h func(f dot11.Frame, rx radio.Reception)) {

@@ -68,11 +68,3 @@ func (d *Drainer) Stop() {
 		d.ticker = nil
 	}
 }
-
-// RunFor runs the attack for the given duration of simulated time and
-// stops. The scheduler is driven internally.
-func (d *Drainer) RunFor(rateHz float64, duration eventsim.Time) {
-	d.Start(rateHz)
-	d.attacker.sched.RunFor(duration)
-	d.Stop()
-}

@@ -34,9 +34,6 @@ func NewSession(tk []byte) (*Session, error) {
 	return &s, nil
 }
 
-// TK returns the temporal key (for building the peer session).
-func (s *Session) TK() []byte { return append([]byte(nil), s.tk[:]...) }
-
 // buildNonce assembles the 13-byte CCMP nonce: priority, A2, PN.
 func buildNonce(priority uint8, a2 dot11.MAC, pn uint64) [NonceLen]byte {
 	var n [NonceLen]byte

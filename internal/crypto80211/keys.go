@@ -127,22 +127,3 @@ func PTK(pmk []byte, aa, spa dot11.MAC, anonce, snonce []byte) []byte {
 // TKFromPTK extracts the 16-byte temporal key (bytes 32..48) used by
 // CCMP from a 48-byte PTK.
 func TKFromPTK(ptk []byte) []byte { return ptk[32:48] }
-
-// Handshake performs the simulator's condensed 4-way handshake: given
-// a shared PMK, the authenticator and supplicant addresses, and two
-// nonces, both sides arrive at the same CCMP session keys. It returns
-// one Session per direction seeded with the same TK, mirroring how a
-// real PTK protects both directions of the link.
-func Handshake(pmk []byte, ap, sta dot11.MAC, anonce, snonce []byte) (apSess, staSess *Session, err error) {
-	ptk := PTK(pmk, ap, sta, anonce, snonce)
-	tk := TKFromPTK(ptk)
-	apSess, err = NewSession(tk)
-	if err != nil {
-		return nil, nil, err
-	}
-	staSess, err = NewSession(tk)
-	if err != nil {
-		return nil, nil, err
-	}
-	return apSess, staSess, nil
-}

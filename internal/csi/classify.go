@@ -155,9 +155,6 @@ func (c *Classifier) Classify(x []float64, fs float64) string {
 	return c.labels[best]
 }
 
-// Labels returns the trained class labels.
-func (c *Classifier) Labels() []string { return append([]string(nil), c.labels...) }
-
 // ConfusionMatrix evaluates the classifier on labelled windows and
 // returns accuracy plus a label×label count matrix.
 func (c *Classifier) ConfusionMatrix(test map[string][][]float64, fs float64) (float64, map[string]map[string]int) {

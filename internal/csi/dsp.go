@@ -182,69 +182,3 @@ func DominantFrequency(x []float64, fs, fmin, fmax float64, nbins int) float64 {
 	}
 	return bestF
 }
-
-// Segment is a contiguous run classified as active or quiet.
-type Segment struct {
-	Start, End int // sample indices, [Start, End)
-	Active     bool
-}
-
-// Segmentize splits a series into quiet/active runs by thresholding
-// the sliding standard deviation at thresh (absolute units). Runs
-// shorter than minLen samples are merged into their neighbour.
-func Segmentize(x []float64, w int, thresh float64, minLen int) []Segment {
-	if len(x) == 0 {
-		return nil
-	}
-	stds := SlidingStd(x, w)
-	active := make([]bool, len(x))
-	for i, s := range stds {
-		active[i] = s > thresh
-	}
-	// Run-length encode.
-	var segs []Segment
-	start := 0
-	for i := 1; i <= len(active); i++ {
-		if i == len(active) || active[i] != active[start] {
-			segs = append(segs, Segment{Start: start, End: i, Active: active[start]})
-			start = i
-		}
-	}
-	// Merge short runs.
-	merged := segs[:0]
-	for _, s := range segs {
-		if s.End-s.Start < minLen && len(merged) > 0 {
-			merged[len(merged)-1].End = s.End
-			continue
-		}
-		merged = append(merged, s)
-	}
-	// Coalesce neighbours with the same label after merging.
-	out := merged[:0]
-	for _, s := range merged {
-		if len(out) > 0 && out[len(out)-1].Active == s.Active {
-			out[len(out)-1].End = s.End
-			continue
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
-// CountBursts estimates the number of distinct activity bursts
-// (e.g. keystrokes) by counting upward crossings of the sliding-std
-// track over the threshold.
-func CountBursts(x []float64, w int, thresh float64) int {
-	stds := SlidingStd(x, w)
-	count := 0
-	above := false
-	for _, s := range stds {
-		if s > thresh && !above {
-			count++
-			above = true
-		} else if s <= thresh {
-			above = false
-		}
-	}
-	return count
-}

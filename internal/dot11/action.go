@@ -170,12 +170,3 @@ func (f *BlockAck) DecodeFromBytes(data []byte) error {
 func (f *BlockAck) Info() string {
 	return fmt.Sprintf("Block Ack, TID=%d, SSN=%d, %s", f.TID, f.StartSeq, f.Control().FlagString())
 }
-
-// Received reports whether the MPDU at StartSeq+offset is marked
-// received.
-func (f *BlockAck) Received(offset int) bool {
-	if offset < 0 || offset > 63 {
-		return false
-	}
-	return f.Bitmap&(1<<offset) != 0
-}

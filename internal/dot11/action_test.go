@@ -59,12 +59,6 @@ func TestBlockAckRoundTrip(t *testing.T) {
 	if got.Bitmap != 0xDEADBEEF || got.TID != 5 || got.StartSeq != 3000 {
 		t.Fatalf("BA = %+v", got)
 	}
-	if !got.Received(0) || !got.Received(1) || got.Received(4) {
-		t.Fatalf("bitmap decode wrong: %x", got.Bitmap)
-	}
-	if got.Received(-1) || got.Received(64) {
-		t.Fatal("out-of-window offsets must be false")
-	}
 }
 
 // Property: BlockAck round-trips arbitrary bitmaps and sequence

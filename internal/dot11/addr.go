@@ -76,24 +76,12 @@ func (m MAC) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
 }
 
-// Short renders the first three octets followed by an ellipsis, the
-// way the paper's capture figures abbreviate addresses.
-func (m MAC) Short() string {
-	return fmt.Sprintf("%02x:%02x:%02x:…", m[0], m[1], m[2])
-}
-
-// IsBroadcast reports whether m is the broadcast address.
-func (m MAC) IsBroadcast() bool { return m == Broadcast }
-
 // IsGroup reports whether the group (multicast) bit is set. Broadcast
 // is a group address.
 func (m MAC) IsGroup() bool { return m[0]&0x01 != 0 }
 
 // IsUnicast reports whether m addresses a single station.
 func (m MAC) IsUnicast() bool { return !m.IsGroup() && m != ZeroMAC }
-
-// IsLocal reports whether the locally-administered bit is set.
-func (m MAC) IsLocal() bool { return m[0]&0x02 != 0 }
 
 // OUI returns the 24-bit organizationally unique identifier prefix.
 func (m MAC) OUI() OUI { return OUI{m[0], m[1], m[2]} }

@@ -46,12 +46,6 @@ func AppendSerialize(dst []byte, f Frame) ([]byte, error) {
 	return append(b, byte(fcs), byte(fcs>>8), byte(fcs>>16), byte(fcs>>24)), nil
 }
 
-// AppendFCS appends the 4-byte FCS for b to b.
-func AppendFCS(b []byte) []byte {
-	fcs := FCS(b)
-	return append(b, byte(fcs), byte(fcs>>8), byte(fcs>>16), byte(fcs>>24))
-}
-
 // CheckFCS verifies the trailing FCS and returns the frame bytes with
 // the FCS stripped.
 func CheckFCS(data []byte) ([]byte, error) {
@@ -264,24 +258,6 @@ func NeedsAck(fc FrameControl, ra MAC) bool {
 		return true
 	}
 	return false
-}
-
-// WireLen reports the serialized length of a frame including FCS
-// without allocating the full encoding more than once.
-func WireLen(f Frame) (int, error) {
-	b, err := f.AppendTo(nil)
-	if err != nil {
-		return 0, err
-	}
-	return len(b) + FCSLen, nil
-}
-
-// AckFor constructs the acknowledgement a receiver transmits in
-// response to frame f. The ACK's receiver address is copied verbatim
-// from the soliciting frame's transmitter address — even when that
-// address is fake (Figure 2: the victim ACKs to aa:bb:bb:bb:bb:bb).
-func AckFor(f Frame) *Ack {
-	return &Ack{RA: f.TransmitterAddress()}
 }
 
 // CTSFor constructs the clear-to-send response to an RTS. elapsed is

@@ -3,12 +3,17 @@ package dot11
 import (
 	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 
 	"politewifi/internal/eventsim"
 )
+
+// appendFCS appends the 4-byte FCS for b to b.
+func appendFCS(b []byte) []byte {
+	fcs := FCS(b)
+	return append(b, byte(fcs), byte(fcs>>8), byte(fcs>>16), byte(fcs>>24))
+}
 
 var (
 	fakeMAC   = MustMAC("aa:bb:bb:bb:bb:bb")
@@ -40,22 +45,18 @@ func TestParseMAC(t *testing.T) {
 }
 
 func TestMACPredicates(t *testing.T) {
-	if !Broadcast.IsBroadcast() || !Broadcast.IsGroup() || Broadcast.IsUnicast() {
+	if !Broadcast.IsGroup() || Broadcast.IsUnicast() {
 		t.Fatal("broadcast predicates wrong")
 	}
 	if victimMAC.IsGroup() || !victimMAC.IsUnicast() {
 		t.Fatal("unicast predicates wrong")
 	}
 	multicast := MustMAC("01:00:5e:00:00:01")
-	if !multicast.IsGroup() || multicast.IsBroadcast() {
+	if !multicast.IsGroup() || multicast == Broadcast {
 		t.Fatal("multicast predicates wrong")
 	}
 	if ZeroMAC.IsUnicast() {
 		t.Fatal("zero MAC should not be unicast")
-	}
-	local := MustMAC("02:00:00:00:00:01")
-	if !local.IsLocal() {
-		t.Fatal("locally-administered bit not detected")
 	}
 }
 
@@ -79,12 +80,6 @@ func TestOUI(t *testing.T) {
 	m := o.WithSuffix(0x123456)
 	if m != MustMAC("f2:6e:0b:12:34:56") {
 		t.Fatalf("WithSuffix = %v", m)
-	}
-}
-
-func TestMACShort(t *testing.T) {
-	if got := fakeMAC.Short(); !strings.HasPrefix(got, "aa:bb:bb") {
-		t.Fatalf("Short() = %q", got)
 	}
 }
 
@@ -279,11 +274,10 @@ func TestBeaconRoundTrip(t *testing.T) {
 	if got.SSID() != "HomeNet" {
 		t.Fatalf("SSID = %q", got.SSID())
 	}
-	ch, ok := FindChannel(got.IEs)
-	if !ok || ch != 6 {
-		t.Fatalf("channel = %d %v", ch, ok)
+	if ds, ok := FindIE(got.IEs, IEDSParam); !ok || !bytes.Equal(ds.Data, []byte{6}) {
+		t.Fatalf("DS parameter = %v %v", ds, ok)
 	}
-	if !HasRSN(got.IEs) {
+	if _, ok := FindIE(got.IEs, IERSN); !ok {
 		t.Fatal("RSN element lost")
 	}
 	if !TIMBuffered(got.IEs, 2) || !TIMBuffered(got.IEs, 5) {
@@ -388,7 +382,7 @@ func TestDecodeShort(t *testing.T) {
 	}
 	// Valid FCS over a too-short body.
 	body := []byte{0x00}
-	if _, err := Decode(AppendFCS(body)); err == nil {
+	if _, err := Decode(appendFCS(body)); err == nil {
 		t.Fatal("1-byte body decoded")
 	}
 }
@@ -447,16 +441,6 @@ func TestNeedsAck(t *testing.T) {
 	}
 }
 
-func TestAckFor(t *testing.T) {
-	// The central Polite WiFi property at the codec level: the ACK for
-	// a fake frame goes to the fake transmitter address.
-	fake := NewNullFrame(victimMAC, fakeMAC, fakeMAC, 0)
-	ack := AckFor(fake)
-	if ack.RA != fakeMAC {
-		t.Fatalf("ACK RA = %v, want the fake MAC %v", ack.RA, fakeMAC)
-	}
-}
-
 func TestCTSFor(t *testing.T) {
 	tests := []struct {
 		name     string
@@ -483,17 +467,6 @@ func TestCTSFor(t *testing.T) {
 				t.Fatalf("CTS duration = %d, want %d", cts.Duration, tc.want)
 			}
 		})
-	}
-}
-
-func TestWireLen(t *testing.T) {
-	n, err := WireLen(&Ack{RA: fakeMAC})
-	if err != nil || n != 14 {
-		t.Fatalf("WireLen(ACK) = %d, %v", n, err)
-	}
-	n, _ = WireLen(NewNullFrame(victimMAC, fakeMAC, apMAC, 0))
-	if n != 28 {
-		t.Fatalf("WireLen(null) = %d, want 28", n)
 	}
 }
 
@@ -579,8 +552,8 @@ func TestBeaconRoundTripProperty(t *testing.T) {
 		}
 		gb := got.(*Beacon)
 		gotSSID, _ := FindSSID(gb.IEs)
-		gotCh, _ := FindChannel(gb.IEs)
-		return gb.Timestamp == ts && gb.IntervalTU == interval && gotSSID == ssid && gotCh == ch
+		ds, _ := FindIE(gb.IEs, IEDSParam)
+		return gb.Timestamp == ts && gb.IntervalTU == interval && gotSSID == ssid && bytes.Equal(ds.Data, []byte{ch})
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -671,7 +644,7 @@ func TestDecodeRobustnessProperty(t *testing.T) {
 			return false
 		}
 		// Valid FCS wrapping arbitrary bytes: the parser sees them.
-		if fr, err := Decode(AppendFCS(raw)); fr == nil && err == nil {
+		if fr, err := Decode(appendFCS(raw)); fr == nil && err == nil {
 			return false
 		}
 		return true
@@ -685,7 +658,7 @@ func TestDecodeRobustnessProperty(t *testing.T) {
 // error.
 func TestDecodeSerializeClosureProperty(t *testing.T) {
 	f := func(raw []byte) bool {
-		fr, err := Decode(AppendFCS(raw))
+		fr, err := Decode(appendFCS(raw))
 		if err != nil {
 			return true // nothing decoded, nothing to check
 		}

@@ -141,21 +141,6 @@ func FindSSID(ies []IE) (string, bool) {
 	return string(ie.Data), true
 }
 
-// FindChannel extracts the DS Parameter channel from an element list.
-func FindChannel(ies []IE) (uint8, bool) {
-	ie, ok := FindIE(ies, IEDSParam)
-	if !ok || len(ie.Data) != 1 {
-		return 0, false
-	}
-	return ie.Data[0], true
-}
-
-// HasRSN reports whether an RSN (WPA2) element is present.
-func HasRSN(ies []IE) bool {
-	_, ok := FindIE(ies, IERSN)
-	return ok
-}
-
 // TIMBuffered reports whether the TIM element in ies marks aid as
 // having buffered traffic.
 func TIMBuffered(ies []IE, aid uint16) bool {

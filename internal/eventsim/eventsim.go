@@ -459,9 +459,6 @@ func (s *Scheduler) Run() error {
 // after the current event completes.
 func (s *Scheduler) Stop() { s.stopped = true }
 
-// Resume clears a previous Stop so the scheduler can run again.
-func (s *Scheduler) Resume() { s.stopped = false }
-
 // RNG is the deterministic random source used throughout the
 // simulator — the only sanctioned RNG entry point; politevet's
 // globalrand analyzer enforces this. It wraps an explicit, privately
@@ -497,11 +494,6 @@ func (g *RNG) Normal(mean, stddev float64) float64 {
 	return mean + stddev*g.r.NormFloat64()
 }
 
-// Exp returns an exponential sample with the given mean.
-func (g *RNG) Exp(mean float64) float64 {
-	return g.r.ExpFloat64() * mean
-}
-
 // Uniform returns a uniform sample in [lo,hi).
 func (g *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*g.r.Float64()
@@ -517,9 +509,6 @@ func (g *RNG) Coin(p float64) bool {
 	}
 	return g.r.Float64() < p
 }
-
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 
 // Fork derives an independent generator whose stream is a deterministic
 // function of this generator's state. Useful for giving subsystems

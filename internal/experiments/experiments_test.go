@@ -108,7 +108,9 @@ func TestSIFSAnalysis(t *testing.T) {
 }
 
 func TestTable2Scaled(t *testing.T) {
-	r := Table2(seed, 0.02)
+	cfg := world.DefaultConfig()
+	cfg.Seed, cfg.Scale = seed, 0.02
+	r := Table2WithConfig(cfg)
 	if r.ResponseRate != 1.0 {
 		t.Fatalf("E5: response rate = %.3f, want 1.0; non-responders %d",
 			r.ResponseRate, len(r.Run.NonResponders))

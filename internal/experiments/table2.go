@@ -20,15 +20,6 @@ type Table2Result struct {
 	PaperClients, PaperAPs int
 }
 
-// Table2 runs E5 at the given census scale (1.0 = the full 5,328
-// devices; smaller scales keep unit tests quick).
-func Table2(seed int64, scale float64) *Table2Result {
-	cfg := world.DefaultConfig()
-	cfg.Seed = seed
-	cfg.Scale = scale
-	return Table2WithConfig(cfg)
-}
-
 // Table2WithConfig runs the study with an explicit wardrive
 // configuration — the hook for custom dwell times and for attaching a
 // telemetry registry (cfg.Metrics) to the drive.

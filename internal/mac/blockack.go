@@ -2,17 +2,16 @@ package mac
 
 import (
 	"politewifi/internal/dot11"
-	"politewifi/internal/eventsim"
 	"politewifi/internal/phy"
 )
 
-// Block-acknowledgement support (802.11e/n): a sender transmits a
-// burst of QoS data MPDUs with the Block Ack policy (no per-frame
-// ACK), then a BlockAckReq; the receiver answers with a BlockAck
-// bitmap and the sender retransmits only the gaps. This is the
-// aggregation-era counterpart of the paper's single-frame exchange —
-// the immediate-ACK path that Polite WiFi rides remains mandatory for
-// non-QoS frames, which is exactly what the attacker uses.
+// Block-acknowledgement responder (802.11e/n): QoS data MPDUs sent
+// with the Block Ack policy draw no per-frame ACK; the receiver
+// records them and answers a BlockAckReq with a BlockAck bitmap at
+// SIFS. This is the aggregation-era counterpart of the paper's
+// single-frame exchange, and just as polite: a stranger's BlockAckReq
+// is answered like a stranger's data frame is ACKed. The stations
+// here never originate bursts.
 
 // baWindowSize is the compressed-bitmap window (64 MPDUs).
 const baWindowSize = 64
@@ -21,165 +20,6 @@ const baWindowSize = 64
 type baRecvState struct {
 	startSeq uint16
 	received map[uint16]bool
-}
-
-// baSendState tracks an in-flight burst on the sender.
-type baSendState struct {
-	peer     dot11.MAC
-	tid      uint8
-	payloads [][]byte
-	seqs     []uint16
-	rate     phy.Rate
-	attempt  int
-	onDone   func(delivered int)
-}
-
-// SendBurst transmits the payloads as a block-acknowledged burst to
-// the peer, retransmitting gaps once. onDone (optional) receives the
-// number of MPDUs the receiver confirmed. Requires an established
-// link (association for clients). The burst bypasses the per-MPDU
-// txq: frames go out SIFS-spaced like an aggregate.
-func (s *Station) SendBurst(to dot11.MAC, tid uint8, payloads [][]byte, onDone func(delivered int)) error {
-	if len(payloads) == 0 || len(payloads) > baWindowSize {
-		return errBurstSize
-	}
-	if s.Role == RoleClient && !s.associated {
-		return errNotAssociated
-	}
-	st := &baSendState{
-		peer:     to,
-		tid:      tid & 0xf,
-		payloads: payloads,
-		rate:     s.DataRateFor(to),
-		onDone:   onDone,
-	}
-	s.baSend = st
-	s.startBurst(st, nil)
-	return nil
-}
-
-var (
-	errBurstSize     = errNew("mac: burst must contain 1..64 MPDUs")
-	errNotAssociated = errNew("mac: not associated")
-)
-
-func errNew(msg string) error { return &macError{msg} }
-
-type macError struct{ msg string }
-
-func (e *macError) Error() string { return e.msg }
-
-// startBurst transmits the MPDUs at indices idx (nil = all) then the
-// BlockAckReq.
-func (s *Station) startBurst(st *baSendState, idx []int) {
-	if idx == nil {
-		idx = make([]int, len(st.payloads))
-		for i := range idx {
-			idx[i] = i
-		}
-		st.seqs = make([]uint16, len(st.payloads))
-		for i := range st.seqs {
-			st.seqs[i] = s.nextSeq()
-		}
-	}
-	s.sched.After(s.band.DIFS(), func() { s.burstStep(st, idx, 0) })
-}
-
-func (s *Station) burstStep(st *baSendState, idx []int, k int) {
-	if k == len(idx) {
-		// Burst done: solicit the block ack.
-		s.sched.After(s.band.SIFS(), func() { s.sendBAR(st) })
-		return
-	}
-	if s.Radio.CCABusy() || s.Radio.Transmitting() {
-		s.sched.After(s.band.SlotTime(), func() { s.burstStep(st, idx, k) })
-		return
-	}
-	i := idx[k]
-	d := &dot11.Data{
-		Header: dot11.Header{
-			Addr2: s.Addr,
-			Seq:   dot11.SequenceControl{Number: st.seqs[i]},
-		},
-		QoS:       true,
-		TID:       st.tid,
-		AckPolicy: dot11.AckPolicyBlockAck,
-		Payload:   append([]byte(nil), st.payloads[i]...),
-	}
-	if s.Role == RoleClient {
-		d.FC.ToDS = true
-		d.Addr1 = s.bssid
-		d.Addr3 = st.peer
-	} else {
-		d.FC.FromDS = true
-		d.Addr1 = st.peer
-		d.Addr3 = s.Addr
-	}
-	wire, err := dot11.Serialize(d)
-	if err != nil {
-		return
-	}
-	end, err := s.Radio.Transmit(wire, st.rate)
-	if err != nil {
-		s.sched.After(s.band.SlotTime(), func() { s.burstStep(st, idx, k) })
-		return
-	}
-	s.Stats.TxData++
-	// SIFS spacing between MPDUs approximates an A-MPDU on a
-	// symbol-accurate simulator without aggregation framing.
-	s.sched.Schedule(end+s.band.SIFS(), func() { s.burstStep(st, idx, k+1) })
-}
-
-func (s *Station) sendBAR(st *baSendState) {
-	bar := &dot11.BlockAckReq{
-		RA: st.peer, TA: s.Addr, TID: st.tid, StartSeq: st.seqs[0],
-	}
-	wire, err := dot11.Serialize(bar)
-	if err != nil {
-		return
-	}
-	end, err := s.Radio.Transmit(wire, phy.ControlRate(st.rate))
-	if err != nil {
-		s.sched.After(s.band.SlotTime(), func() { s.sendBAR(st) })
-		return
-	}
-	// BlockAck timeout.
-	timeout := end + s.band.SIFS() + phy.Airtime(phy.ControlRate(st.rate), 28) + 15*eventsim.Microsecond
-	st.attempt++
-	s.sched.Schedule(timeout, func() {
-		if s.baSend == st && st.attempt <= 2 {
-			s.sendBAR(st) // BA lost: ask again
-		}
-	})
-}
-
-// handleBlockAck resolves the sender's burst with the receiver's
-// bitmap.
-func (s *Station) handleBlockAck(ba *dot11.BlockAck) {
-	st := s.baSend
-	if st == nil || ba.TA != st.peer {
-		return
-	}
-	var missing []int
-	delivered := 0
-	for i, seq := range st.seqs {
-		off := int((seq - ba.StartSeq) & 0xfff)
-		if off < baWindowSize && ba.Received(off) {
-			delivered++
-		} else {
-			missing = append(missing, i)
-		}
-	}
-	if len(missing) > 0 && st.attempt <= 1 {
-		// One retransmission round for the gaps.
-		s.Stats.TxRetries += uint64(len(missing))
-		s.startBurst(st, missing)
-		return
-	}
-	s.baSend = nil
-	if st.onDone != nil {
-		st.onDone(delivered)
-	}
 }
 
 // recvBurstFrame records a block-ack-policy MPDU at the receiver.

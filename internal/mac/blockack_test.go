@@ -9,8 +9,8 @@ import (
 	"politewifi/internal/radio"
 )
 
-// openNet builds an open (unencrypted) AP+client pair so burst
-// payloads flow without CCMP, plus the monitor sniffer.
+// openNet builds an open (unencrypted) AP+client pair, plus the
+// monitor sniffer.
 func openNet(t *testing.T) *testNet {
 	t.Helper()
 	m := quietMedium()
@@ -35,108 +35,6 @@ func openNet(t *testing.T) *testNet {
 	})
 	n.associate(t)
 	return n
-}
-
-func TestSendBurstDelivered(t *testing.T) {
-	n := openNet(t)
-	payloads := make([][]byte, 16)
-	for i := range payloads {
-		payloads[i] = []byte{byte(i)}
-	}
-	delivered := -1
-	if err := n.client.SendBurst(apAddr, 3, payloads, func(d int) { delivered = d }); err != nil {
-		t.Fatal(err)
-	}
-	n.sched.RunFor(100 * eventsim.Millisecond)
-	if delivered != 16 {
-		t.Fatalf("delivered = %d, want 16", delivered)
-	}
-	// The burst's MPDUs must NOT have drawn immediate ACKs; only the
-	// association exchange (2 client frames) did.
-	var bas, acksToClient int
-	for _, f := range n.captured {
-		switch ff := f.(type) {
-		case *dot11.BlockAck:
-			bas++
-			if ff.RA != clientAddr {
-				t.Fatalf("BlockAck RA = %v", ff.RA)
-			}
-		case *dot11.Ack:
-			_ = ff
-			acksToClient++
-		}
-	}
-	if bas == 0 {
-		t.Fatal("no BlockAck captured")
-	}
-	// 2 assoc ACKs to client + 2 ACKs to AP = 4 total normal ACKs;
-	// any more would mean burst MPDUs were normal-ACKed.
-	if acksToClient > 4 {
-		t.Fatalf("normal ACKs = %d; burst MPDUs must not be immediately ACKed", acksToClient)
-	}
-	if n.ap.Stats.TxRetries != 0 && delivered != 16 {
-		t.Fatalf("unexpected retries")
-	}
-}
-
-func TestSendBurstRetransmitsGaps(t *testing.T) {
-	// A lossy medium: some MPDUs fail, the bitmap exposes the gaps,
-	// and a single retransmission round recovers (most of) them.
-	sched := eventsim.NewScheduler()
-	rng := eventsim.NewRNG(7)
-	m := radio.NewMedium(sched, rng, radio.Config{
-		PathLoss:        radio.LogDistance{Exponent: 3.0},
-		FadingSigmaDB:   5,
-		CaptureMarginDB: 10,
-	})
-	n := &testNet{m: m, sched: sched}
-	n.ap = New(m, eventsim.NewRNG(1), Config{
-		Name: "ap", Addr: apAddr, Role: RoleAP, Profile: ProfileGenericAP,
-		SSID: "open", Position: radio.Position{}, Band: phy.Band2GHz, Channel: 6,
-	})
-	n.client = New(m, eventsim.NewRNG(2), Config{
-		Name: "client", Addr: clientAddr, Role: RoleClient, Profile: ProfileGenericClient,
-		SSID: "open", Position: radio.Position{X: 58}, Band: phy.Band2GHz, Channel: 6,
-	})
-	n.associate(t)
-
-	payloads := make([][]byte, 32)
-	for i := range payloads {
-		payloads[i] = make([]byte, 1400) // long frames at range: lossy
-	}
-	delivered := -1
-	if err := n.client.SendBurst(apAddr, 0, payloads, func(d int) { delivered = d }); err != nil {
-		t.Fatal(err)
-	}
-	n.sched.RunFor(300 * eventsim.Millisecond)
-	if delivered < 0 {
-		t.Fatal("burst never completed")
-	}
-	if delivered < 20 {
-		t.Fatalf("delivered = %d of 32, want most after retransmission", delivered)
-	}
-	if n.client.Stats.TxRetries == 0 {
-		t.Fatal("lossy burst produced no gap retransmissions — suspicious")
-	}
-}
-
-func TestSendBurstValidation(t *testing.T) {
-	n := openNet(t)
-	if err := n.client.SendBurst(apAddr, 0, nil, nil); err == nil {
-		t.Fatal("empty burst accepted")
-	}
-	if err := n.client.SendBurst(apAddr, 0, make([][]byte, 65), nil); err == nil {
-		t.Fatal("oversized burst accepted")
-	}
-	// Unassociated client refuses.
-	m := quietMedium()
-	lone := New(m, eventsim.NewRNG(1), Config{
-		Name: "lone", Addr: clientAddr, Role: RoleClient, Profile: ProfileGenericClient,
-		SSID: "x", Position: radio.Position{}, Band: phy.Band2GHz, Channel: 1,
-	})
-	if err := lone.SendBurst(apAddr, 0, [][]byte{{1}}, nil); err == nil {
-		t.Fatal("unassociated burst accepted")
-	}
 }
 
 // TestBARFromStrangerAnswered: the block-ack machinery is as polite

@@ -5,74 +5,13 @@ import (
 	"politewifi/internal/radio"
 )
 
-// MSDU fragmentation (802.11-2016 §10.4): payloads above the
-// fragmentation threshold are split into MPDUs that share a sequence
-// number and count up the fragment field, each acknowledged
-// individually, with More Fragments set on all but the last. The
-// receiver reassembles in order and delivers the original payload.
-// Under CCMP each fragment is protected separately (its own PN).
-
-// SetFragmentationThreshold enables fragmentation for payloads longer
-// than n bytes (0 disables). Typical real-world values are 256–2346.
-func (s *Station) SetFragmentationThreshold(n int) { s.fragThreshold = n }
-
-// fragmentPayload splits a payload at the threshold.
-func fragmentPayload(payload []byte, threshold int) [][]byte {
-	if threshold <= 0 || len(payload) <= threshold {
-		return [][]byte{payload}
-	}
-	var out [][]byte
-	for len(payload) > 0 {
-		n := threshold
-		if n > len(payload) {
-			n = len(payload)
-		}
-		out = append(out, payload[:n])
-		payload = payload[n:]
-	}
-	return out
-}
-
-// sendFragments queues the fragments of one MSDU: same sequence
-// number, ascending fragment numbers, MoreFrag on all but the last.
-func (s *Station) sendFragments(to dot11.MAC, payload []byte) error {
-	frags := fragmentPayload(payload, s.fragThreshold)
-	seq := s.nextSeq()
-	for i, part := range frags {
-		d := &dot11.Data{
-			Header: dot11.Header{
-				Addr2: s.Addr,
-				Seq:   dot11.SequenceControl{Number: seq, Fragment: uint8(i)},
-			},
-			Payload: append([]byte(nil), part...),
-		}
-		d.FC.MoreFrag = i < len(frags)-1
-		switch s.Role {
-		case RoleClient:
-			d.FC.ToDS = true
-			d.Addr1 = s.bssid
-			d.Addr3 = to
-			if s.session != nil {
-				if err := s.session.Encrypt(d); err != nil {
-					return err
-				}
-			}
-		case RoleAP:
-			d.FC.FromDS = true
-			d.Addr1 = to
-			d.Addr3 = s.Addr
-			if sess := s.sessionFor(to); sess != nil {
-				if err := sess.Encrypt(d); err != nil {
-					return err
-				}
-			}
-		}
-		j := s.newTxJob(d, true, s.DataRateFor(d.Addr1))
-		j.seqSet = true
-		s.enqueue(j)
-	}
-	return nil
-}
+// MSDU reassembly (802.11-2016 §10.4): the fragments of one MSDU
+// share a sequence number and count up the fragment field, with More
+// Fragments set on all but the last; each is acknowledged on its own
+// and, under CCMP, decrypted on its own (its own PN). The receiver
+// reassembles in order and delivers the original payload. The
+// stations here never fragment what they send, but fragments still
+// arrive over the air.
 
 // reasmState is a per-transmitter reassembly buffer (one MSDU at a
 // time, as the standard requires).

@@ -3,7 +3,6 @@ package mac
 import (
 	"bytes"
 	"testing"
-	"testing/quick"
 
 	"politewifi/internal/dot11"
 	"politewifi/internal/eventsim"
@@ -11,49 +10,26 @@ import (
 	"politewifi/internal/radio"
 )
 
-func TestFragmentPayload(t *testing.T) {
-	p := make([]byte, 250)
-	for i := range p {
-		p[i] = byte(i)
+// fragment builds fragment i of an MSDU from the client to the AP.
+func fragment(seq uint16, i int, more bool, part []byte) *dot11.Data {
+	d := &dot11.Data{
+		Header: dot11.Header{
+			FC:    dot11.FrameControl{ToDS: true, MoreFrag: more},
+			Addr1: apAddr, Addr2: clientAddr, Addr3: apAddr,
+			Seq: dot11.SequenceControl{Number: seq, Fragment: uint8(i)},
+		},
+		Payload: append([]byte(nil), part...),
 	}
-	frags := fragmentPayload(p, 100)
-	if len(frags) != 3 {
-		t.Fatalf("fragments = %d, want 3", len(frags))
-	}
-	if len(frags[0]) != 100 || len(frags[1]) != 100 || len(frags[2]) != 50 {
-		t.Fatalf("fragment sizes = %d/%d/%d", len(frags[0]), len(frags[1]), len(frags[2]))
-	}
-	joined := bytes.Join(frags, nil)
-	if !bytes.Equal(joined, p) {
-		t.Fatal("fragments do not reassemble to the payload")
-	}
-	// Threshold off or payload small: single fragment.
-	if got := fragmentPayload(p, 0); len(got) != 1 {
-		t.Fatal("threshold 0 should not fragment")
-	}
-	if got := fragmentPayload(p[:50], 100); len(got) != 1 {
-		t.Fatal("small payload fragmented")
-	}
+	return d
 }
 
-// Property: fragmentation is lossless for any payload/threshold.
-func TestFragmentPayloadProperty(t *testing.T) {
-	f := func(payload []byte, thr uint8) bool {
-		frags := fragmentPayload(payload, int(thr))
-		return bytes.Equal(bytes.Join(frags, nil), payload)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFragmentedTransferEncrypted sends a large payload over WPA2
-// with a small fragmentation threshold; the AP reassembles the
-// original MSDU. Each fragment is individually acknowledged.
+// TestFragmentedTransferEncrypted puts the fragments of a large
+// payload on the air from the associated client over WPA2, each
+// encrypted on its own; the AP reassembles the original MSDU. Each
+// fragment is individually acknowledged.
 func TestFragmentedTransferEncrypted(t *testing.T) {
 	n := newTestNet(t, ProfileGenericAP, ProfileGenericClient)
 	n.associate(t)
-	n.client.SetFragmentationThreshold(100)
 
 	payload := make([]byte, 350)
 	for i := range payload {
@@ -65,68 +41,47 @@ func TestFragmentedTransferEncrypted(t *testing.T) {
 			got = append([]byte(nil), d.Payload...)
 		}
 	}
-	acksBefore := n.client.Stats.AcksReceived
-	if err := n.client.SendData(apAddr, payload); err != nil {
-		t.Fatal(err)
+	n.captured = nil
+	const threshold = 100
+	for i := 0; i*threshold < len(payload); i++ {
+		end := min((i+1)*threshold, len(payload))
+		d := fragment(700, i, end < len(payload), payload[i*threshold:end])
+		if err := n.client.Session().Encrypt(d); err != nil {
+			t.Fatal(err)
+		}
+		wire, err := dot11.Serialize(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.client.Radio.Transmit(wire, phy.Rate24); err != nil {
+			t.Fatal(err)
+		}
+		n.sched.RunFor(2 * eventsim.Millisecond)
 	}
-	n.sched.RunFor(100 * eventsim.Millisecond)
+	n.sched.RunFor(20 * eventsim.Millisecond)
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("reassembled %d bytes, want %d (equal=%v)", len(got), len(payload), bytes.Equal(got, payload))
 	}
 	// 4 fragments (350/100) → 4 ACKs.
-	if acks := n.client.Stats.AcksReceived - acksBefore; acks != 4 {
+	if acks := n.acksTo(clientAddr); acks != 4 {
 		t.Fatalf("fragment ACKs = %d, want 4", acks)
 	}
 }
 
+// TestFragmentGapDiscards: a fragment whose predecessor never arrived
+// discards the whole MSDU.
 func TestFragmentGapDiscards(t *testing.T) {
-	n := newTestNet(t, ProfileGenericAP, ProfileGenericClient)
-	n.associate(t)
+	n := openNet(t)
 	delivered := 0
 	n.ap.OnDeliver = func(f dot11.Frame, rx radio.Reception) { delivered++ }
+	discarded := n.ap.Stats.RxDiscarded
 
-	// Hand-inject fragment 1 without fragment 0 (unencrypted, so use
-	// an open network instead).
-	m := quietMedium()
-	rng := eventsim.NewRNG(9)
-	ap := New(m, rng, Config{
-		Name: "ap", Addr: apAddr, Role: RoleAP, Profile: ProfileGenericAP,
-		SSID: "open", Position: radio.Position{}, Band: phy2GHz(), Channel: 6,
-	})
-	cl := New(m, rng, Config{
-		Name: "cl", Addr: clientAddr, Role: RoleClient, Profile: ProfileGenericClient,
-		SSID: "open", Position: radio.Position{X: 4}, Band: phy2GHz(), Channel: 6,
-	})
-	okc := false
-	cl.Associate(apAddr, func(v bool) { okc = v })
-	m.Sched.RunFor(300 * eventsim.Millisecond)
-	if !okc {
-		t.Fatal("assoc failed")
-	}
-	apDelivered := 0
-	ap.OnDeliver = func(f dot11.Frame, rx radio.Reception) { apDelivered++ }
-
-	orphan := &dot11.Data{
-		Header: dot11.Header{
-			FC:    dot11.FrameControl{ToDS: true, MoreFrag: true},
-			Addr1: apAddr, Addr2: clientAddr, Addr3: apAddr,
-			Seq: dot11.SequenceControl{Number: 500, Fragment: 1},
-		},
-		Payload: []byte("orphan"),
-	}
-	wire, _ := dot11.Serialize(orphan)
-	tx := m.NewRadio("inj", radio.Position{X: 2}, phy2GHz(), 6)
-	tx.Transmit(wire, injRate())
-	m.Sched.RunFor(50 * eventsim.Millisecond)
-	if apDelivered != 0 {
+	n.inject(t, fragment(500, 1, true, []byte("orphan")), phy.Rate24)
+	n.sched.RunFor(50 * eventsim.Millisecond)
+	if delivered != 0 {
 		t.Fatal("orphan fragment delivered")
 	}
-	if ap.Stats.RxDiscarded == 0 {
+	if n.ap.Stats.RxDiscarded == discarded {
 		t.Fatal("orphan fragment not counted as discarded")
 	}
-	_ = delivered
 }
-
-// small local helpers to avoid extra imports in the test above.
-func phy2GHz() phy.Band { return phy.Band2GHz }
-func injRate() phy.Rate { return phy.Rate24 }

@@ -112,9 +112,8 @@ func TestAssociationHandshake(t *testing.T) {
 	if n.client.Session() == nil {
 		t.Fatal("client has no CCMP session after association")
 	}
-	clients := n.ap.AssociatedClients()
-	if len(clients) != 1 || clients[0] != clientAddr {
-		t.Fatalf("AP client list = %v", clients)
+	if p := n.ap.clients[clientAddr]; len(n.ap.clients) != 1 || p == nil || !p.assoc {
+		t.Fatalf("AP client table = %v", n.ap.clients)
 	}
 }
 
@@ -411,7 +410,7 @@ func TestBeaconing(t *testing.T) {
 			if b.SSID() != "HomeNet" {
 				t.Fatalf("beacon SSID = %q", b.SSID())
 			}
-			if !dot11.HasRSN(b.IEs) {
+			if _, ok := dot11.FindIE(b.IEs, dot11.IERSN); !ok {
 				t.Fatal("WPA2 AP beacon missing RSN element")
 			}
 		}
@@ -449,8 +448,8 @@ func TestPowerSaveDozing(t *testing.T) {
 	n := newTestNet(t, ProfileGenericAP, ProfileESP8266)
 	n.associate(t)
 	n.client.EnablePowerSave()
-	if !n.client.PowerSaving() {
-		t.Fatal("PowerSaving() = false")
+	if !n.client.ps.enabled {
+		t.Fatal("power save not enabled")
 	}
 	n.sched.RunFor(2 * eventsim.Second)
 	if n.client.Stats.Dozes == 0 {
@@ -549,18 +548,6 @@ func TestPowerSaveSurvivesSlowAttack(t *testing.T) {
 	}
 	if n.client.Stats.Dozes == dozesBefore {
 		t.Fatal("client stopped dozing under 2 fps attack")
-	}
-}
-
-func TestBlockUnblock(t *testing.T) {
-	n := newTestNet(t, ProfileGenericAP, ProfileGenericClient)
-	n.ap.Block(fakeAddr)
-	n.ap.Unblock(fakeAddr)
-	n.associate(t)
-	n.inject(t, dot11.NewNullFrame(apAddr, fakeAddr, fakeAddr, 1), phy.Rate24)
-	n.sched.RunFor(10 * eventsim.Millisecond)
-	if n.ap.Stats.BlockedDrops != 0 {
-		t.Fatal("unblocked address still dropped")
 	}
 }
 

@@ -53,7 +53,7 @@ func forgedDeauth(victim, from dot11.MAC, seq uint16) *dot11.Deauth {
 func TestDeauthAttackWithoutPMF(t *testing.T) {
 	n := newPMFNet(t, false)
 	n.associate(t)
-	if n.client.PMFEnabled() {
+	if n.client.pmf {
 		t.Fatal("PMF unexpectedly enabled")
 	}
 	n.inject(t, forgedDeauth(clientAddr, apAddr, 99), phy.Rate24)
@@ -69,7 +69,7 @@ func TestDeauthAttackWithoutPMF(t *testing.T) {
 func TestDeauthAttackDefeatedByPMF(t *testing.T) {
 	n := newPMFNet(t, true)
 	n.associate(t)
-	if !n.client.PMFEnabled() {
+	if !n.client.pmf {
 		t.Fatal("PMF not enabled")
 	}
 	n.captured = nil
@@ -139,7 +139,7 @@ func TestPMFRequiresKeys(t *testing.T) {
 		SSID: "open", PMF: true,
 		Position: radio.Position{}, Band: phy.Band2GHz, Channel: 1,
 	})
-	if st.PMFEnabled() {
+	if st.pmf {
 		t.Fatal("PMF enabled without a passphrase")
 	}
 }
@@ -181,8 +181,8 @@ func TestAPBuffersForDozingClient(t *testing.T) {
 	}
 }
 
-// TestDisablePowerSaveFlushes: leaving PS mode flushes the buffer
-// without waiting for a beacon.
+// TestDisablePowerSaveFlushes: a client leaving PS mode makes the AP
+// flush the buffer without waiting for a beacon.
 func TestDisablePowerSaveFlushes(t *testing.T) {
 	n := newTestNet(t, ProfileGenericAP, ProfileESP8266)
 	n.associate(t)
@@ -197,7 +197,12 @@ func TestDisablePowerSaveFlushes(t *testing.T) {
 	}
 	n.ap.SendData(clientAddr, []byte("flush me"))
 	n.sched.RunFor(2 * eventsim.Millisecond)
-	n.client.DisablePowerSave()
+	// The client leaves PS mode: it stops dozing, wakes, and
+	// announces PowerMgmt=0 in a null frame.
+	n.client.ps.enabled = false
+	n.client.ps.dozeVersion++
+	n.client.Radio.Wake()
+	n.client.sendPMNull(false)
 	n.sched.RunFor(60 * eventsim.Millisecond)
 	if string(got) != "flush me" {
 		t.Fatalf("delivered = %q", got)

@@ -40,20 +40,6 @@ func (s *Station) EnablePowerSave() {
 	s.armDoze()
 }
 
-// DisablePowerSave wakes the radio permanently and tells the AP to
-// flush any buffered frames.
-func (s *Station) DisablePowerSave() {
-	s.ps.enabled = false
-	s.ps.dozeVersion++
-	if s.Radio.Asleep() {
-		s.metrics.Wakes.Inc()
-	}
-	s.Radio.Wake()
-	if s.associated {
-		s.sendPMNull(false)
-	}
-}
-
 // sendPMNull announces a power-management transition.
 func (s *Station) sendPMNull(entering bool) {
 	d := dot11.NewNullFrame(s.bssid, s.Addr, s.bssid, 0)
@@ -61,9 +47,6 @@ func (s *Station) sendPMNull(entering bool) {
 	d.FC.PowerMgmt = entering
 	s.enqueue(s.newTxJob(d, true, defaultDataRate))
 }
-
-// PowerSaving reports whether the doze machinery is active.
-func (s *Station) PowerSaving() bool { return s.ps.enabled }
 
 func (s *Station) beaconInterval() eventsim.Time {
 	return eventsim.Time(s.ps.intervalTU) * 1024 * eventsim.Microsecond

@@ -2,7 +2,6 @@ package mac
 
 import (
 	"errors"
-	"fmt"
 
 	"politewifi/internal/crypto80211"
 	"politewifi/internal/dot11"
@@ -79,13 +78,11 @@ type Station struct {
 	// adaptation for data frames.
 	peerSNR map[dot11.MAC]float64
 
-	// Block-ack state.
-	baSend *baSendState
+	// Block-ack responder state.
 	baRecv map[baKey]*baRecvState
 
-	// Fragmentation.
-	fragThreshold int
-	reasm         map[dot11.MAC]*reasmState
+	// Fragment reassembly.
+	reasm map[dot11.MAC]*reasmState
 
 	// Virtual carrier sense: the medium is reserved until navUntil
 	// (set by overheard Duration fields, e.g. RTS/CTS exchanges).
@@ -213,9 +210,6 @@ func New(m *radio.Medium, rng *eventsim.RNG, cfg Config) *Station {
 	return s
 }
 
-// PMFEnabled reports whether 802.11w protection is active.
-func (s *Station) PMFEnabled() bool { return s.pmf }
-
 // SSID returns the network name this station beacons or joined.
 func (s *Station) SSID() string { return s.ssid }
 
@@ -234,9 +228,6 @@ func (s *Station) Session() *crypto80211.Session { return s.session }
 // §2.1 experiment shows this is cosmetic: the frame is dropped at the
 // host, but the PHY has already acknowledged it.
 func (s *Station) Block(addr dot11.MAC) { s.blocklist[addr] = true }
-
-// Unblock removes an address from the blocklist.
-func (s *Station) Unblock(addr dot11.MAC) { delete(s.blocklist, addr) }
 
 func (s *Station) nextSeq() uint16 {
 	s.seq = dot11.NextSeq(s.seq)
@@ -307,10 +298,7 @@ func (s *Station) onReceive(rx radio.Reception) {
 		}
 		return
 	case *dot11.BlockAck:
-		if ra == s.Addr {
-			s.handleBlockAck(ff)
-		}
-		return
+		return // we never send a BlockAckReq
 	}
 
 	// Block-ack-policy MPDUs are recorded at the low MAC (the bitmap
@@ -973,16 +961,14 @@ func (s *Station) processDeauth(d *dot11.Deauth) {
 
 // --- Data transmission ------------------------------------------------
 
+var errNotAssociated = errors.New("mac: not associated")
+
 // SendData queues an application payload to the given destination,
-// CCMP-protected when a session exists, and fragmented when the
-// payload exceeds the fragmentation threshold. For clients the frame
-// goes ToDS through the AP.
+// CCMP-protected when a session exists. For clients the frame goes
+// ToDS through the AP.
 func (s *Station) SendData(to dot11.MAC, payload []byte) error {
 	if s.Role == RoleClient && !s.associated {
 		return errNotAssociated
-	}
-	if s.fragThreshold > 0 && len(payload) > s.fragThreshold {
-		return s.sendFragments(to, payload)
 	}
 	d := &dot11.Data{
 		Header: dot11.Header{
@@ -992,9 +978,6 @@ func (s *Station) SendData(to dot11.MAC, payload []byte) error {
 	}
 	switch s.Role {
 	case RoleClient:
-		if !s.associated {
-			return fmt.Errorf("mac: %s not associated", s.Name)
-		}
 		d.FC.ToDS = true
 		d.Addr1 = s.bssid
 		d.Addr3 = to
@@ -1057,16 +1040,4 @@ func (s *Station) notePowerMgmt(from dot11.MAC, pm bool) {
 		p.buffered = nil
 	}
 	p.dozing = pm
-}
-
-// AssociatedClients returns the MACs of fully associated clients (AP
-// only).
-func (s *Station) AssociatedClients() []dot11.MAC {
-	var out []dot11.MAC
-	for m, p := range s.clients {
-		if p.assoc {
-			out = append(out, m)
-		}
-	}
-	return out
 }

@@ -108,7 +108,6 @@ var wellKnown = map[string]dot11.OUI{
 type DB struct {
 	byOUI    map[dot11.OUI]string
 	byVendor map[string][]dot11.OUI
-	names    []string
 }
 
 // NewDB builds the registry with the well-known prefixes preloaded.
@@ -133,9 +132,6 @@ func (db *DB) add(vendor string, o dot11.OUI) {
 		panic(fmt.Sprintf("oui: prefix %s already registered", o))
 	}
 	db.byOUI[o] = vendor
-	if _, known := db.byVendor[vendor]; !known {
-		db.names = append(db.names, vendor)
-	}
 	db.byVendor[vendor] = append(db.byVendor[vendor], o)
 }
 
@@ -159,15 +155,6 @@ func (db *DB) Register(vendor string) dot11.OUI {
 	db.add(vendor, o)
 	return o
 }
-
-// Lookup resolves a MAC address to its vendor.
-func (db *DB) Lookup(m dot11.MAC) (string, bool) {
-	v, ok := db.byOUI[m.OUI()]
-	return v, ok
-}
-
-// Vendors lists the registered vendor names in registration order.
-func (db *DB) Vendors() []string { return append([]string(nil), db.names...) }
 
 // MintMAC creates a fresh device address for the vendor using the
 // given random stream. The caller is responsible for deduplication
@@ -276,24 +263,4 @@ func APCensus() []CensusEntry {
 	}
 	out := append([]CensusEntry(nil), apTop20...)
 	return append(out, expandOthers("APVendor", TotalAPs-named, APVendors-len(apTop20))...)
-}
-
-// Top returns the n largest entries of a census, for rendering the
-// Table 2 "top 20" view.
-func Top(census []CensusEntry, n int) []CensusEntry {
-	sorted := append([]CensusEntry(nil), census...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Count > sorted[j].Count })
-	if n > len(sorted) {
-		n = len(sorted)
-	}
-	return sorted[:n]
-}
-
-// Sum totals the device counts of a census.
-func Sum(census []CensusEntry) int {
-	total := 0
-	for _, e := range census {
-		total += e.Count
-	}
-	return total
 }

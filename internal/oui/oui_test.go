@@ -10,13 +10,11 @@ import (
 
 func TestLookupWellKnown(t *testing.T) {
 	db := NewDB()
-	m := dot11.MustMAC("f0:18:98:12:34:56")
-	v, ok := db.Lookup(m)
-	if !ok || v != "Apple" {
-		t.Fatalf("Lookup = %q, %v", v, ok)
+	if o := db.Register("Apple"); o != (dot11.OUI{0xf0, 0x18, 0x98}) {
+		t.Fatalf("Apple = %v", o)
 	}
-	if _, ok := db.Lookup(dot11.MustMAC("02:00:00:00:00:01")); ok {
-		t.Fatal("unknown OUI resolved")
+	if v, ok := db.byOUI[dot11.OUI{0x02, 0x00, 0x00}]; ok {
+		t.Fatalf("unknown OUI resolved to %q", v)
 	}
 }
 
@@ -30,7 +28,7 @@ func TestRegisterSynthetic(t *testing.T) {
 	if o1[0]&0x01 != 0 {
 		t.Fatal("synthetic OUI has group bit set")
 	}
-	v, ok := db.Lookup(o1.WithSuffix(42))
+	v, ok := db.byOUI[o1.WithSuffix(42).OUI()]
 	if !ok || v != "FrobnicateWireless" {
 		t.Fatalf("Lookup synthetic = %q, %v", v, ok)
 	}
@@ -59,7 +57,7 @@ func TestMintMAC(t *testing.T) {
 	seen := map[dot11.MAC]bool{}
 	for i := 0; i < 1000; i++ {
 		m := db.MintMAC("Apple", rng)
-		if v, _ := db.Lookup(m); v != "Apple" {
+		if v := db.byOUI[m.OUI()]; v != "Apple" {
 			t.Fatalf("minted MAC resolves to %q", v)
 		}
 		if !m.IsUnicast() {
@@ -74,7 +72,7 @@ func TestMintMAC(t *testing.T) {
 
 func TestClientCensusExact(t *testing.T) {
 	c := ClientCensus()
-	if got := Sum(c); got != TotalClients {
+	if got := sum(c); got != TotalClients {
 		t.Fatalf("client census sum = %d, want %d", got, TotalClients)
 	}
 	if len(c) != ClientVendors {
@@ -96,7 +94,7 @@ func TestClientCensusExact(t *testing.T) {
 
 func TestAPCensusExact(t *testing.T) {
 	c := APCensus()
-	if got := Sum(c); got != TotalAPs {
+	if got := sum(c); got != TotalAPs {
 		t.Fatalf("AP census sum = %d, want %d", got, TotalAPs)
 	}
 	if len(c) != APVendors {
@@ -120,25 +118,6 @@ func TestTotalsMatchPaper(t *testing.T) {
 	}
 }
 
-func TestTop(t *testing.T) {
-	c := ClientCensus()
-	top := Top(c, 5)
-	if len(top) != 5 {
-		t.Fatalf("Top(5) length = %d", len(top))
-	}
-	for i := 1; i < len(top); i++ {
-		if top[i].Count > top[i-1].Count {
-			t.Fatal("Top not sorted")
-		}
-	}
-	if top[0].Vendor != "Apple" {
-		t.Fatalf("top client vendor = %s", top[0].Vendor)
-	}
-	if got := Top(c, 10000); len(got) != len(c) {
-		t.Fatal("Top with large n should clamp")
-	}
-}
-
 func TestCensusDeterminism(t *testing.T) {
 	a, b := ClientCensus(), ClientCensus()
 	for i := range a {
@@ -150,9 +129,18 @@ func TestCensusDeterminism(t *testing.T) {
 
 func TestVendorsList(t *testing.T) {
 	db := NewDB()
-	n := len(db.Vendors())
+	n := len(db.byVendor)
 	db.Register("Newco")
-	if len(db.Vendors()) != n+1 {
+	if len(db.byVendor) != n+1 {
 		t.Fatal("Vendors list did not grow")
 	}
+}
+
+// sum totals the device counts of a census.
+func sum(census []CensusEntry) int {
+	total := 0
+	for _, e := range census {
+		total += e.Count
+	}
+	return total
 }

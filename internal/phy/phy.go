@@ -122,29 +122,6 @@ var (
 // OFDMRates is the 802.11a/g rate set in increasing order.
 var OFDMRates = []Rate{Rate6, Rate9, Rate12, Rate18, Rate24, Rate36, Rate48, Rate54}
 
-// HT (802.11n) single-stream MCS rates, 20 MHz, long guard interval.
-// ACKs never use these — control responses drop to the legacy basic
-// set, which is why the paper's ESP32 could capture them.
-var htRates = []Rate{
-	{6.5, ModBPSK, 26, false, true},    // MCS 0
-	{13, ModQPSK, 52, false, true},     // MCS 1
-	{19.5, ModQPSK, 78, false, true},   // MCS 2
-	{26, Mod16QAM, 104, false, true},   // MCS 3
-	{39, Mod16QAM, 156, false, true},   // MCS 4
-	{52, Mod64QAM, 208, false, true},   // MCS 5
-	{58.5, Mod64QAM, 234, false, true}, // MCS 6
-	{65, Mod64QAM, 260, false, true},   // MCS 7
-}
-
-// HTRate returns the 802.11n single-stream rate for an MCS index
-// (0–7).
-func HTRate(mcs int) Rate {
-	if mcs < 0 || mcs >= len(htRates) {
-		panic(fmt.Sprintf("phy: MCS %d out of range", mcs))
-	}
-	return htRates[mcs]
-}
-
 // String implements fmt.Stringer.
 func (r Rate) String() string { return fmt.Sprintf("%g Mbps", r.Mbps) }
 
@@ -227,18 +204,6 @@ func NAV(band Band, r Rate) uint16 {
 	return uint16(us)
 }
 
-// RTSNAV computes the Duration value for an RTS protecting a data
-// frame of length bytes at rate r: 3×SIFS + CTS + DATA + ACK.
-func RTSNAV(band Band, r Rate, length int) uint16 {
-	ctl := ControlRate(r)
-	d := 3*band.SIFS() + Airtime(ctl, 14) + Airtime(r, length) + Airtime(ctl, 14)
-	us := d / eventsim.Microsecond
-	if us > 32767 {
-		us = 32767
-	}
-	return uint16(us)
-}
-
 // --- OFDM subcarrier layout (for CSI) -------------------------------
 
 // NumSubcarriers is the number of occupied subcarriers in a legacy
@@ -265,16 +230,6 @@ func SubcarrierIndex(slot int) int {
 // the channel center.
 func SubcarrierOffsetHz(slot int) float64 {
 	return float64(SubcarrierIndex(slot)) * SubcarrierSpacingHz
-}
-
-// IsPilot reports whether the CSI slot carries a pilot tone
-// (subcarriers ±7 and ±21).
-func IsPilot(slot int) bool {
-	switch SubcarrierIndex(slot) {
-	case -21, -7, 7, 21:
-		return true
-	}
-	return false
 }
 
 // --- Link curves ------------------------------------------------------

@@ -7,6 +7,21 @@ import (
 	"politewifi/internal/eventsim"
 )
 
+// htRates are the HT (802.11n) single-stream MCS rates, 20 MHz, long
+// guard interval. No station here transmits at them; the tests use
+// them to cover the HT branches of Airtime and ControlRate and the HT
+// coding classes of BER and FER.
+var htRates = []Rate{
+	{6.5, ModBPSK, 26, false, true},    // MCS 0
+	{13, ModQPSK, 52, false, true},     // MCS 1
+	{19.5, ModQPSK, 78, false, true},   // MCS 2
+	{26, Mod16QAM, 104, false, true},   // MCS 3
+	{39, Mod16QAM, 156, false, true},   // MCS 4
+	{52, Mod64QAM, 208, false, true},   // MCS 5
+	{58.5, Mod64QAM, 234, false, true}, // MCS 6
+	{65, Mod64QAM, 260, false, true},   // MCS 7
+}
+
 func TestSIFS(t *testing.T) {
 	// The paper: "10 µs and 16 µs for the 2.4 GHz and 5 GHz bands".
 	if Band2GHz.SIFS() != 10*eventsim.Microsecond {
@@ -113,12 +128,6 @@ func TestNAV(t *testing.T) {
 	if got := NAV(Band2GHz, Rate24); got != 38 {
 		t.Fatalf("NAV = %d, want 38", got)
 	}
-	// RTS NAV covers CTS + data + ACK + 3 SIFS.
-	nav := RTSNAV(Band2GHz, Rate24, 1500)
-	want := uint16((3*10*eventsim.Microsecond + 28*eventsim.Microsecond + Airtime(Rate24, 1500) + 28*eventsim.Microsecond) / eventsim.Microsecond) //politevet:allow durwrap(expected-value fixture; every term is a small positive airtime, sum ≪ 65535µs)
-	if nav != want {
-		t.Fatalf("RTSNAV = %d, want %d", nav, want)
-	}
 }
 
 func TestSubcarrierLayout(t *testing.T) {
@@ -136,7 +145,6 @@ func TestSubcarrierLayout(t *testing.T) {
 	}
 	// All 52 indices distinct, none zero.
 	seen := map[int]bool{}
-	pilots := 0
 	for s := 0; s < NumSubcarriers; s++ {
 		idx := SubcarrierIndex(s)
 		if idx == 0 {
@@ -146,12 +154,6 @@ func TestSubcarrierLayout(t *testing.T) {
 			t.Fatalf("duplicate subcarrier index %d", idx)
 		}
 		seen[idx] = true
-		if IsPilot(s) {
-			pilots++
-		}
-	}
-	if pilots != 4 {
-		t.Fatalf("pilot count = %d, want 4", pilots)
 	}
 	if got := SubcarrierOffsetHz(26); got != 312500 {
 		t.Fatalf("offset of +1 = %v", got)

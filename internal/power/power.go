@@ -8,7 +8,6 @@ package power
 
 import (
 	"fmt"
-	"time"
 
 	"politewifi/internal/eventsim"
 	"politewifi/internal/mac"
@@ -67,9 +66,7 @@ type Meter struct {
 	lastState radio.State
 	lastAt    eventsim.Time
 
-	stateTime map[radio.State]eventsim.Time
-	energyUJ  float64
-	frames    uint64
+	energyUJ float64
 }
 
 // NewMeter creates a meter; use Attach (or wire OnStateChange and
@@ -82,7 +79,6 @@ func NewMeter(sched *eventsim.Scheduler, profile Profile) *Meter {
 		start:     now,
 		lastState: radio.StateIdle,
 		lastAt:    now,
-		stateTime: make(map[radio.State]eventsim.Time),
 	}
 }
 
@@ -126,7 +122,6 @@ func (m *Meter) settle(at eventsim.Time) {
 	}
 	dt := at - m.lastAt
 	if dt > 0 {
-		m.stateTime[m.lastState] += dt
 		// mW × s = mJ; ×1000 = µJ.
 		m.energyUJ += m.powerOf(m.lastState) * dt.Seconds() * 1000
 		m.lastAt = at
@@ -135,14 +130,7 @@ func (m *Meter) settle(at eventsim.Time) {
 
 // AddFrame charges one frame's host processing overhead.
 func (m *Meter) AddFrame() {
-	m.frames++
 	m.energyUJ += m.profile.FrameOverheadUJ
-}
-
-// EnergyMJ reports total consumed energy in millijoules up to now.
-func (m *Meter) EnergyMJ() float64 {
-	m.settle(m.sched.Now())
-	return m.energyUJ / 1000
 }
 
 // MeanPowerMW reports the average power draw since the meter started
@@ -156,15 +144,6 @@ func (m *Meter) MeanPowerMW() float64 {
 	return m.energyUJ / 1000 / elapsed
 }
 
-// Frames reports the number of host-processed frames charged.
-func (m *Meter) Frames() uint64 { return m.frames }
-
-// StateSeconds reports the accumulated time in the given state.
-func (m *Meter) StateSeconds(s radio.State) float64 {
-	m.settle(m.sched.Now())
-	return m.stateTime[s].Seconds()
-}
-
 // Reset zeroes the accumulators, starting a fresh measurement window
 // from the current instant (the state machine position is kept).
 func (m *Meter) Reset() {
@@ -172,8 +151,6 @@ func (m *Meter) Reset() {
 	m.start = m.sched.Now()
 	m.lastAt = m.start
 	m.energyUJ = 0
-	m.frames = 0
-	m.stateTime = make(map[radio.State]eventsim.Time)
 }
 
 // Battery converts capacity and draw into lifetime.
@@ -190,17 +167,8 @@ var (
 	BlinkXT2 = Battery{Name: "Amazon Blink XT2", CapacityMWh: 6000}
 )
 
-// Lifetime reports how long the battery lasts at a constant draw.
-func (b Battery) Lifetime(drawMW float64) time.Duration {
-	if drawMW <= 0 {
-		return time.Duration(1<<63 - 1)
-	}
-	hours := b.CapacityMWh / drawMW
-	return time.Duration(hours * float64(time.Hour))
-}
-
-// LifetimeHours is Lifetime in fractional hours, convenient for the
-// experiment tables.
+// LifetimeHours reports how long the battery lasts at a constant draw,
+// in fractional hours (0 for a non-positive draw).
 func (b Battery) LifetimeHours(drawMW float64) float64 {
 	if drawMW <= 0 {
 		return 0

@@ -363,9 +363,6 @@ func (m *Medium) NewRadio(name string, pos Position, band phy.Band, channel int)
 	return r
 }
 
-// Radios returns all attached radios.
-func (m *Medium) Radios() []*Radio { return m.radios }
-
 // shadowDB returns the (symmetric, per-link, frozen) shadowing term.
 func (m *Medium) shadowDB(a, b *Radio) float64 {
 	if a == b {
@@ -432,9 +429,6 @@ func (r *Radio) Medium() *Medium { return r.medium }
 // Position returns the radio's location.
 func (r *Radio) Position() Position { return r.pos }
 
-// MoveTo relocates the radio (mobility support for the wardrive).
-func (r *Radio) MoveTo(p Position) { r.pos = p }
-
 // Band returns the radio's band.
 func (r *Radio) Band() phy.Band { return r.band }
 
@@ -450,9 +444,6 @@ func (r *Radio) SetBand(b phy.Band) { r.band = b }
 
 // SetTxPower sets the transmit power in dBm.
 func (r *Radio) SetTxPower(dbm float64) { r.txPowerDBm = dbm }
-
-// TxPower returns the transmit power in dBm.
-func (r *Radio) TxPower() float64 { return r.txPowerDBm }
 
 // SetHandler installs the reception callback.
 func (r *Radio) SetHandler(h func(rx Reception)) { r.handler = h }
@@ -805,10 +796,4 @@ func (r *Radio) endReception(t *transmission, rssi float64, recIdx int) {
 // for placement and discovery logic.
 func (m *Medium) RSSIBetween(a, b *Radio) float64 {
 	return m.rssiAt(a, b, a.txPowerDBm)
-}
-
-// InRange reports whether a transmission from a would be decodable at
-// b on average.
-func (m *Medium) InRange(a, b *Radio) bool {
-	return a.band == b.band && a.channel == b.channel && m.RSSIBetween(a, b) >= b.sensDBm
 }

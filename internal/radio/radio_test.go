@@ -266,11 +266,17 @@ func TestStateTransitions(t *testing.T) {
 	}
 }
 
+// inRange reports whether a transmission from a would be decodable at
+// b on average.
+func inRange(m *Medium, a, b *Radio) bool {
+	return a.band == b.band && a.channel == b.channel && m.RSSIBetween(a, b) >= b.sensDBm
+}
+
 func TestInRangeAndRSSISymmetry(t *testing.T) {
 	m := newTestMedium(DefaultConfig())
 	a := m.NewRadio("a", Position{}, phy.Band2GHz, 6)
 	b := m.NewRadio("b", Position{X: 20}, phy.Band2GHz, 6)
-	if !m.InRange(a, b) || !m.InRange(b, a) {
+	if !inRange(m, a, b) || !inRange(m, b, a) {
 		t.Fatal("20 m link should be in range")
 	}
 	// Shadowing is symmetric per link.
@@ -373,10 +379,10 @@ func TestHiddenTerminal(t *testing.T) {
 	b := m.NewRadio("b", Position{X: 45}, phy.Band2GHz, 6)
 	mid := m.NewRadio("mid", Position{}, phy.Band2GHz, 6)
 
-	if m.InRange(a, b) {
+	if inRange(m, a, b) {
 		t.Fatal("terminals must be hidden from each other")
 	}
-	if !m.InRange(a, mid) || !m.InRange(b, mid) {
+	if !inRange(m, a, mid) || !inRange(m, b, mid) {
 		t.Fatal("both terminals must reach the middle receiver")
 	}
 	// Neither transmitter senses the other.

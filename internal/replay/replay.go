@@ -223,9 +223,6 @@ func (s *StopLog) RecordCCA(src string, at eventsim.Time, busy bool) {
 	s.recs = append(s.recs, Record{Stop: s.stop, CCA: &radio.CCACheck{Src: src, At: at, Busy: busy}})
 }
 
-// Len reports the number of recorded events.
-func (s *StopLog) Len() int { return len(s.recs) }
-
 // logRec is a loaded record with its position in the file, so
 // divergence errors can point at the byte.
 type logRec struct {

@@ -161,34 +161,6 @@ func (rep Report) WriteJSON(w io.Writer) error {
 	return enc.Encode(rep)
 }
 
-// Families lists the distinct metric family prefixes (the segment
-// before the first dot) present in the report, sorted.
-func (rep Report) Families() []string {
-	seen := make(map[string]bool)
-	add := func(name string) {
-		fam := name
-		if i := strings.IndexByte(name, '.'); i >= 0 {
-			fam = name[:i]
-		}
-		seen[fam] = true
-	}
-	for _, c := range rep.Counters {
-		add(c.Name)
-	}
-	for _, g := range rep.Gauges {
-		add(g.Name)
-	}
-	for _, h := range rep.Histograms {
-		add(h.Name)
-	}
-	out := make([]string, 0, len(seen))
-	for f := range seen {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Counter returns the snapshot of the named counter (nil if absent).
 func (rep Report) Counter(name string) *CounterSnapshot {
 	for i := range rep.Counters {

@@ -278,53 +278,6 @@ func (t *Tracer) WriteChromeJSON(w io.Writer) error {
 	return enc.Encode(events)
 }
 
-// ExchangeLatency is the observed extent of one probe exchange: the
-// virtual time between its earliest and latest recorded span.
-type ExchangeLatency struct {
-	Exchange uint64
-	Start    eventsim.Time
-	End      eventsim.Time
-	Spans    int
-}
-
-// Latency reports the exchange's end-to-end virtual duration.
-func (e ExchangeLatency) Latency() eventsim.Time { return e.End - e.Start }
-
-// ExchangeLatencies computes the per-exchange extent of every
-// exchange in the trace, ordered by exchange ID — the queryable
-// counterpart of the pipeline.exchange_latency_us histogram.
-func (t *Tracer) ExchangeLatencies() []ExchangeLatency {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	byEx := make(map[uint64]*ExchangeLatency)
-	for _, s := range t.spans {
-		if s.Exchange == 0 {
-			continue
-		}
-		e, ok := byEx[s.Exchange]
-		if !ok {
-			e = &ExchangeLatency{Exchange: s.Exchange, Start: s.Start, End: s.End}
-			byEx[s.Exchange] = e
-		}
-		if s.Start < e.Start {
-			e.Start = s.Start
-		}
-		if s.End > e.End {
-			e.End = s.End
-		}
-		e.Spans++
-	}
-	t.mu.Unlock()
-	out := make([]ExchangeLatency, 0, len(byEx))
-	for _, e := range byEx {
-		out = append(out, *e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Exchange < out[j].Exchange })
-	return out
-}
-
 // Timeline renders the trace as a plain-text table ordered by
 // virtual time — the quick-look alternative to about:tracing.
 func (t *Tracer) Timeline() string {

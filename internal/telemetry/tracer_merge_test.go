@@ -3,11 +3,45 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"sort"
 	"strings"
 	"testing"
 
 	"politewifi/internal/eventsim"
 )
+
+// exchangeExtent is the observed extent of one probe exchange: the
+// virtual time between its earliest and latest recorded span.
+type exchangeExtent struct {
+	exchange   uint64
+	start, end eventsim.Time
+	spans      int
+}
+
+// exchangeExtents computes the extent of every exchange in the trace,
+// ordered by exchange ID.
+func exchangeExtents(t *Tracer) []exchangeExtent {
+	byEx := make(map[uint64]*exchangeExtent)
+	for _, s := range t.spans {
+		if s.Exchange == 0 {
+			continue
+		}
+		e, ok := byEx[s.Exchange]
+		if !ok {
+			e = &exchangeExtent{exchange: s.Exchange, start: s.Start, end: s.End}
+			byEx[s.Exchange] = e
+		}
+		e.start = min(e.start, s.Start)
+		e.end = max(e.end, s.End)
+		e.spans++
+	}
+	out := make([]exchangeExtent, 0, len(byEx))
+	for _, e := range byEx {
+		out = append(out, *e)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].exchange < out[j].exchange })
+	return out
+}
 
 // recordExchange simulates one stop's worth of a traced probe
 // exchange on a private tracer.
@@ -41,20 +75,20 @@ func TestTracerMergeRebasesIDs(t *testing.T) {
 	if merged.Len() != a.Len()+b.Len() {
 		t.Fatalf("merged %d spans, want %d", merged.Len(), a.Len()+b.Len())
 	}
-	lats := merged.ExchangeLatencies()
+	lats := exchangeExtents(merged)
 	if len(lats) != 2 {
 		t.Fatalf("merged exchanges = %d, want 2 (IDs must not collide)", len(lats))
 	}
 	// Stop 0's exchange keeps ID 1; stop 1's rebases past it to 2.
-	if lats[0].Exchange != 1 || lats[1].Exchange != 2 {
-		t.Fatalf("exchange IDs after merge = %d, %d; want 1, 2", lats[0].Exchange, lats[1].Exchange)
+	if lats[0].exchange != 1 || lats[1].exchange != 2 {
+		t.Fatalf("exchange IDs after merge = %d, %d; want 1, 2", lats[0].exchange, lats[1].exchange)
 	}
 	for _, l := range lats {
-		if l.Spans != 3 {
-			t.Fatalf("exchange %d has %d spans, want 3", l.Exchange, l.Spans)
+		if l.spans != 3 {
+			t.Fatalf("exchange %d has %d spans, want 3", l.exchange, l.spans)
 		}
-		if l.Latency() != 50*eventsim.Microsecond {
-			t.Fatalf("exchange %d latency = %s, want 50µs", l.Exchange, l.Latency())
+		if l.end-l.start != 50*eventsim.Microsecond {
+			t.Fatalf("exchange %d latency = %s, want 50µs", l.exchange, l.end-l.start)
 		}
 	}
 

@@ -66,17 +66,6 @@ func (c *Capture) Len() int { return len(c.Records) }
 // Clear drops all records.
 func (c *Capture) Clear() { c.Records = nil }
 
-// Filter returns the records whose decoded frame satisfies keep.
-func (c *Capture) Filter(keep func(dot11.Frame) bool) []Record {
-	var out []Record
-	for _, r := range c.Records {
-		if f := r.Frame(); f != nil && keep(f) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // --- pcap output -----------------------------------------------------
 
 // pcap constants.

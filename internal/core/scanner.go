@@ -325,6 +325,13 @@ func (s *Scanner) verify(f dot11.Frame, rx radio.Reception) {
 	if !s.awaiting {
 		return
 	}
+	if f.TransmitterAddress() == s.lastTarget && rx.Start > s.lastEnd {
+		// The target was on the air when its ACK was due: its own
+		// transmission pre-empted the SIFS response, so the timeout
+		// says nothing about silence.
+		s.lastContended = true
+		return
+	}
 	ack, ok := f.(*dot11.Ack)
 	if !ok || ack.RA != s.attacker.MAC {
 		return

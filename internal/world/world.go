@@ -79,6 +79,12 @@ var scanPlan = []bandChannel{
 	{phy.Band5GHz, 36}, {phy.Band5GHz, 149},
 }
 
+// mopUpDwell is the length of the extra visit a channel gets after the
+// two passes while some discovered device still owes probes: enough
+// for a device's full probe budget at the scanner's probe interval,
+// with slack for a busy channel.
+const mopUpDwell = 50 * eventsim.Millisecond
+
 // wifiChannels are the usual non-overlapping 2.4 GHz channels.
 var wifiChannels = []int{1, 6, 11}
 
@@ -886,6 +892,17 @@ func runStop(rng *eventsim.RNG, index int, stop Stop, cfg Config) *stopResult {
 			attacker.Radio.SetChannel(bc.channel)
 			sched.RunFor(cfg.DwellPerChannel / 2)
 		}
+	}
+	// A device first heard in the last moments of its channel's second
+	// dwell still owes probes: one short extra visit per channel, cut
+	// short once nothing is owed, gets them sent.
+	for _, bc := range scanPlan {
+		if scanner.Pending() == 0 {
+			break
+		}
+		attacker.Radio.SetBand(bc.band)
+		attacker.Radio.SetChannel(bc.channel)
+		sched.RunFor(mopUpDwell)
 	}
 	scanner.Stop()
 

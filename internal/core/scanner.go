@@ -96,6 +96,9 @@ type Scanner struct {
 
 	ticker       *eventsim.Ticker
 	activeTicker *eventsim.Ticker
+	// probeReq is the wildcard probe request, built once and reused by
+	// every active scan (Inject serializes it before returning).
+	probeReq dot11.ProbeReq
 
 	finalized bool
 
@@ -110,6 +113,12 @@ func NewScanner(a *Attacker) *Scanner {
 		ProbesPerDevice: 3,
 		ProbeInterval:   2 * eventsim.Millisecond,
 		devices:         make(map[dot11.MAC]*Device),
+		probeReq: dot11.ProbeReq{
+			Header: dot11.Header{
+				Addr1: dot11.Broadcast, Addr2: a.MAC, Addr3: dot11.Broadcast,
+			},
+			IEs: []dot11.IE{dot11.SSIDElement("")},
+		},
 	}
 	a.OnFrame(s.onFrame) // discovery + verification
 	a.OnCorrupt(s.onCorrupt)
@@ -133,12 +142,7 @@ func (s *Scanner) sendProbeRequest() {
 	if s.attacker.Radio.Transmitting() {
 		return
 	}
-	s.attacker.Inject(&dot11.ProbeReq{
-		Header: dot11.Header{
-			Addr1: dot11.Broadcast, Addr2: s.attacker.MAC, Addr3: dot11.Broadcast,
-		},
-		IEs: []dot11.IE{dot11.SSIDElement("")},
-	})
+	s.attacker.Inject(&s.probeReq)
 }
 
 // Stop halts the workers and closes every device's verdict.

@@ -2,6 +2,11 @@
 // kernel: a nanosecond-resolution virtual clock, a stable-ordered event
 // scheduler, and a seeded random number source.
 //
+// Random sources are minted in three sanctioned ways only: NewRNG from
+// an explicit seed, (*RNG).Fork from a parent's stream, and a Scope,
+// which does either on a pooled source that it reclaims when its unit
+// of work (a wardrive stop) ends.
+//
 // Every stochastic or time-dependent component in this repository
 // (the RF medium, MAC state machines, power accounting, mobility)
 // is driven from a single Scheduler so that experiments are exactly
@@ -33,7 +38,6 @@
 package eventsim
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -176,20 +180,16 @@ func (h *evHeap) pop() *Event {
 	return top
 }
 
-// ErrStopped is returned by Run variants when Stop was called.
-var ErrStopped = errors.New("eventsim: scheduler stopped")
-
 // Scheduler is a single-threaded discrete-event executor. It is not
 // safe for concurrent use; concurrent producers must funnel work
 // through an external synchronisation layer (see package core's
 // AirPort implementations).
 type Scheduler struct {
-	now     Time
-	seq     uint64
-	q       evHeap
-	free    *Event // recycled Event structs, chained on Event.next
-	stopped bool
-	fired   uint64
+	now   Time
+	seq   uint64
+	q     evHeap
+	free  *Event // recycled Event structs, chained on Event.next
+	fired uint64
 
 	// Introspection: queue high-water mark, per-origin fired counts,
 	// a race-free mirror of the clock, and an optional fire observer.
@@ -424,40 +424,18 @@ func (s *Scheduler) Step() bool {
 // RunUntil executes events until the clock would pass deadline, then
 // sets the clock to the deadline. Events scheduled exactly at the
 // deadline are executed.
-func (s *Scheduler) RunUntil(deadline Time) error {
-	for !s.stopped {
-		e := s.peek()
-		if e == nil || e.at > deadline {
-			break
-		}
+func (s *Scheduler) RunUntil(deadline Time) {
+	for e := s.peek(); e != nil && e.at <= deadline; e = s.peek() {
 		s.Step()
-	}
-	if s.stopped {
-		return ErrStopped
 	}
 	if s.now < deadline {
 		s.now = deadline
 		s.nowAtomic.Store(int64(deadline))
 	}
-	return nil
 }
 
 // RunFor advances the simulation by d.
-func (s *Scheduler) RunFor(d Time) error { return s.RunUntil(s.now + d) }
-
-// Run executes events until the queue drains or Stop is called.
-func (s *Scheduler) Run() error {
-	for s.Step() {
-		if s.stopped {
-			return ErrStopped
-		}
-	}
-	return nil
-}
-
-// Stop makes the currently running Run/RunUntil return ErrStopped
-// after the current event completes.
-func (s *Scheduler) Stop() { s.stopped = true }
+func (s *Scheduler) RunFor(d Time) { s.RunUntil(s.now + d) }
 
 // RNG is the deterministic random source used throughout the
 // simulator — the only sanctioned RNG entry point; politevet's
@@ -472,9 +450,9 @@ type RNG struct {
 	r *rand.Rand
 }
 
-// NewRNG returns a deterministic generator for the given seed. This
-// and (*RNG).Fork are the only places the simulator may mint a
-// random source.
+// NewRNG returns a deterministic generator for the given seed. This,
+// (*RNG).Fork and a Scope's NewRNG and Fork are the only places the
+// simulator may mint a random source.
 func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(rand.NewSource(seed))}
 }

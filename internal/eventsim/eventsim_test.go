@@ -14,8 +14,7 @@ func TestSchedulerOrdering(t *testing.T) {
 	s.Schedule(30, func() { got = append(got, 3) })
 	s.Schedule(10, func() { got = append(got, 1) })
 	s.Schedule(20, func() { got = append(got, 2) })
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
+	for s.Step() {
 	}
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -35,7 +34,8 @@ func TestSchedulerStableTies(t *testing.T) {
 		i := i
 		s.Schedule(100, func() { got = append(got, i) })
 	}
-	s.Run()
+	for s.Step() {
+	}
 	for i := 0; i < 10; i++ {
 		if got[i] != i {
 			t.Fatalf("tie order = %v, want insertion order", got)
@@ -52,7 +52,8 @@ func TestSchedulePastClamps(t *testing.T) {
 			}
 		})
 	})
-	s.Run()
+	for s.Step() {
+	}
 }
 
 func TestAfter(t *testing.T) {
@@ -61,7 +62,8 @@ func TestAfter(t *testing.T) {
 	s.Schedule(40, func() {
 		s.After(5, func() { fired = s.Now() })
 	})
-	s.Run()
+	for s.Step() {
+	}
 	if fired != 45 {
 		t.Fatalf("After fired at %v, want 45", fired)
 	}
@@ -75,7 +77,8 @@ func TestCancel(t *testing.T) {
 	if !e.Cancelled() {
 		t.Fatal("Cancelled() = false after Cancel")
 	}
-	s.Run()
+	for s.Step() {
+	}
 	if ran {
 		t.Fatal("cancelled event ran")
 	}
@@ -92,9 +95,7 @@ func TestRunUntil(t *testing.T) {
 	s := NewScheduler()
 	var count int
 	s.Every(10, func() { count++ })
-	if err := s.RunUntil(95); err != nil {
-		t.Fatal(err)
-	}
+	s.RunUntil(95)
 	if count != 9 {
 		t.Fatalf("ticks = %d, want 9", count)
 	}
@@ -143,29 +144,13 @@ func TestTickerZeroPeriodPanics(t *testing.T) {
 	NewScheduler().Every(0, func() {})
 }
 
-func TestStop(t *testing.T) {
-	s := NewScheduler()
-	var count int
-	s.Every(10, func() {
-		count++
-		if count == 2 {
-			s.Stop()
-		}
-	})
-	if err := s.RunUntil(1000); err != ErrStopped {
-		t.Fatalf("RunUntil err = %v, want ErrStopped", err)
-	}
-	if count != 2 {
-		t.Fatalf("count = %d, want 2", count)
-	}
-}
-
 func TestFiredCounter(t *testing.T) {
 	s := NewScheduler()
 	for i := 0; i < 7; i++ {
 		s.Schedule(Time(i), func() {})
 	}
-	s.Run()
+	for s.Step() {
+	}
 	if s.Fired() != 7 {
 		t.Fatalf("Fired() = %d, want 7", s.Fired())
 	}
@@ -206,7 +191,8 @@ func TestEventOrderProperty(t *testing.T) {
 			at := Time(off)
 			s.Schedule(at, func() { times = append(times, s.Now()) })
 		}
-		s.Run()
+		for s.Step() {
+		}
 		for i := 1; i < len(times); i++ {
 			if times[i] < times[i-1] {
 				return false
@@ -228,7 +214,8 @@ func TestDeterminismProperty(t *testing.T) {
 			for _, off := range offsets {
 				s.Schedule(Time(off), func() { times = append(times, s.Now()) })
 			}
-			s.Run()
+			for s.Step() {
+			}
 			return times
 		}
 		a, b := run(), run()
@@ -324,19 +311,16 @@ func TestSchedulerRandomizedOrder(t *testing.T) {
 				}
 			}
 		}
-		if err := s.RunUntil(deadline); err != nil {
-			t.Fatal(err)
-		}
+		s.RunUntil(deadline)
 		if s.Now() != deadline {
 			t.Fatalf("trial %d: Now() = %v after RunUntil, want %v", trial, s.Now(), deadline)
 		}
 		check("RunUntil", deadline)
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
+		for s.Step() {
 		}
-		check("Run", Time(1<<62))
+		check("drain", Time(1<<62))
 		if s.Len() != 0 {
-			t.Fatalf("trial %d: %d events left after Run", trial, s.Len())
+			t.Fatalf("trial %d: %d events left after draining", trial, s.Len())
 		}
 	}
 }
@@ -431,7 +415,8 @@ func TestHighWater(t *testing.T) {
 	if s.HighWater() != 5 {
 		t.Fatalf("HighWater = %d, want 5", s.HighWater())
 	}
-	s.Run()
+	for s.Step() {
+	}
 	// Draining must not lower the mark.
 	if s.HighWater() != 5 {
 		t.Fatalf("HighWater after drain = %d, want 5", s.HighWater())
@@ -442,7 +427,8 @@ func TestHighWater(t *testing.T) {
 			s.After(Time(i+1), func() {})
 		}
 	})
-	s.Run()
+	for s.Step() {
+	}
 	if s.HighWater() != 10 {
 		t.Fatalf("HighWater after nested burst = %d, want 10", s.HighWater())
 	}
@@ -459,7 +445,8 @@ func TestFiredByOrigin(t *testing.T) {
 	s.ScheduleTagged(rx, 20, func() {})
 	s.AfterTagged(tx, 30, func() {})
 	s.Schedule(40, func() {}) // untagged
-	s.Run()
+	for s.Step() {
+	}
 	got := s.FiredByOrigin()
 	want := map[string]uint64{"radio.rx": 2, "radio.tx": 1, "untagged": 1}
 	for k, v := range want {
@@ -479,7 +466,8 @@ func TestObservedNow(t *testing.T) {
 	}
 	var during Time
 	s.Schedule(25, func() { during = s.ObservedNow() })
-	s.Run()
+	for s.Step() {
+	}
 	if during != 25 {
 		t.Fatalf("ObservedNow inside event = %v, want 25", during)
 	}
@@ -503,7 +491,8 @@ func TestFireObserver(t *testing.T) {
 	}, true)
 	s.ScheduleTagged(rx, 10, func() { time.Sleep(time.Millisecond) }) //politevet:allow wallclock(test burns wall time so the measuring observer has something to measure)
 	s.Schedule(20, func() {})
-	s.Run()
+	for s.Step() {
+	}
 	if len(seen) != 2 {
 		t.Fatalf("observer saw %d events, want 2", len(seen))
 	}
@@ -519,14 +508,16 @@ func TestFireObserver(t *testing.T) {
 		seen = append(seen, obs{origin, wall})
 	}, false)
 	s.Schedule(30, func() { time.Sleep(time.Millisecond) }) //politevet:allow wallclock(non-measuring observer path must still execute a slow callback)
-	s.Run()
+	for s.Step() {
+	}
 	if len(seen) != 1 || seen[0].wall != 0 {
 		t.Fatalf("non-measuring observer saw %v", seen)
 	}
 	s.SetFireObserver(nil, false)
 	seen = nil
 	s.Schedule(40, func() {})
-	s.Run()
+	for s.Step() {
+	}
 	if len(seen) != 0 {
 		t.Fatal("uninstalled observer still fired")
 	}
@@ -545,7 +536,8 @@ func TestNestedScheduling(t *testing.T) {
 		}
 	}
 	s.After(1, next)
-	s.Run()
+	for s.Step() {
+	}
 	if depth != 1000 {
 		t.Fatalf("depth = %d, want 1000", depth)
 	}

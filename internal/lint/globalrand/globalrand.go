@@ -1,8 +1,9 @@
 // Package globalrand forbids the process-global math/rand source and
 // racy sharing of *rand.Rand across goroutines — directly or through
 // any chain of calls. Every stochastic draw in the simulator must
-// come from a seed-forked eventsim.RNG (the sanctioned entry point:
-// eventsim.NewRNG and RNG.Fork), so a run replays bit-identically
+// come from a seed-forked eventsim.RNG (the sanctioned entry points:
+// eventsim.NewRNG, RNG.Fork, and a per-stop eventsim.Scope's NewRNG
+// and Fork on pooled sources), so a run replays bit-identically
 // from its seed at any worker count. A single rand.Intn against the
 // global source — or one *rand.Rand shared by two goroutines —
 // reorders the stream and breaks the census cross-check in
@@ -38,7 +39,7 @@ func run(pass *analysis.Pass) error {
 		for path, names := range purity.GlobalRandSources {
 			if name, ok := pass.PkgLevelRef(sel, path); ok && names[name] {
 				pass.Reportf(sel.Pos(),
-					"rand.%s draws from the process-global source and is not replayable from a seed; draw from a seed-forked *eventsim.RNG (eventsim.NewRNG / (*RNG).Fork), the simulator's only sanctioned RNG entry point",
+					"rand.%s draws from the process-global source and is not replayable from a seed; draw from a seed-forked *eventsim.RNG (eventsim.NewRNG, (*RNG).Fork, or a per-stop eventsim.Scope), the simulator's only sanctioned RNG entry points",
 					name)
 			}
 		}

@@ -444,6 +444,69 @@ func TestProbeRequestResponse(t *testing.T) {
 	}
 }
 
+// TestQueuedProbeResponses: two probe requests arrive before the AP
+// has sent either response, so both responses wait in its transmit
+// queue at once and each must reach its own requester. A later request
+// reuses a recycled response frame, which must carry nothing over: a
+// fresh sequence number and Retry clear on the first attempt (the
+// requesters never ACK, so every earlier response went out retried).
+func TestQueuedProbeResponses(t *testing.T) {
+	n := newTestNet(t, ProfileGenericAP, ProfileGenericClient)
+	n.captured = nil
+	probe := func(from dot11.MAC) []byte {
+		wire, err := dot11.Serialize(&dot11.ProbeReq{
+			Header: dot11.Header{Addr1: dot11.Broadcast, Addr2: from, Addr3: dot11.Broadcast},
+			IEs:    []dot11.IE{dot11.SSIDElement("")},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire
+	}
+	a := dot11.MustMAC("aa:bb:bb:bb:bb:01")
+	b := dot11.MustMAC("aa:bb:bb:bb:bb:02")
+	c := dot11.MustMAC("aa:bb:bb:bb:bb:03")
+	end, err := n.attacker.Transmit(probe(a), phy.Rate6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.sched.Schedule(end, func() {
+		if _, err := n.attacker.Transmit(probe(b), phy.Rate6); err != nil {
+			t.Error(err)
+		}
+	})
+	n.sched.RunFor(200 * eventsim.Millisecond)
+	if got := len(n.ap.probeResps); got != 2 {
+		t.Fatalf("%d recycled probe responses after two queued ones, want 2", got)
+	}
+	if _, err := n.attacker.Transmit(probe(c), phy.Rate6); err != nil {
+		t.Fatal(err)
+	}
+	n.sched.RunFor(200 * eventsim.Millisecond)
+	if got := len(n.ap.probeResps); got != 2 {
+		t.Fatalf("%d recycled probe responses after a third, want 2 (reused)", got)
+	}
+	first := make(map[dot11.MAC]*dot11.ProbeResp)
+	for _, f := range n.captured {
+		if p, ok := f.(*dot11.ProbeResp); ok && first[p.Addr1] == nil {
+			first[p.Addr1] = p
+		}
+	}
+	for _, to := range []dot11.MAC{a, b, c} {
+		p := first[to]
+		if p == nil {
+			t.Fatalf("no probe response to %v", to)
+		}
+		if p.FC.Retry || p.Addr2 != apAddr {
+			t.Fatalf("first response to %v: Retry=%v Addr2=%v", to, p.FC.Retry, p.Addr2)
+		}
+	}
+	if first[c].Seq.Number == first[a].Seq.Number || first[c].Seq.Number == first[b].Seq.Number {
+		t.Fatalf("reused response kept a sequence number: %d vs %d, %d",
+			first[c].Seq.Number, first[a].Seq.Number, first[b].Seq.Number)
+	}
+}
+
 func TestPowerSaveDozing(t *testing.T) {
 	n := newTestNet(t, ProfileGenericAP, ProfileESP8266)
 	n.associate(t)
@@ -603,7 +666,8 @@ func BenchmarkFakeFrameAckExchange(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		attacker.Transmit(wire, phy.Rate24)
-		m.Sched.Run()
+		for m.Sched.Step() {
+		}
 	}
 }
 
@@ -631,13 +695,15 @@ func TestAcksMissedWhenTransmitting(t *testing.T) {
 		t.Fatalf("AcksSent = %d, want 0", victim.Stats.AcksSent)
 	}
 	// Once idle the same call succeeds.
-	m.Sched.Run()
+	for m.Sched.Step() {
+	}
 	victim.transmitAck(fakeAddr, phy.Rate24, false, dot11.TypeData, 0)
 	if victim.Stats.AcksSent != 1 {
 		t.Fatalf("AcksSent = %d after idle, want 1", victim.Stats.AcksSent)
 	}
 	// A zero TA (ACK/CTS responses have none) is a no-op.
-	m.Sched.Run()
+	for m.Sched.Step() {
+	}
 	victim.transmitAck(dot11.ZeroMAC, phy.Rate24, false, dot11.TypeData, 0)
 	if victim.Stats.AcksSent != 1 {
 		t.Fatal("zero-TA ack should be a no-op")

@@ -108,10 +108,11 @@ type Station struct {
 	wireScratch []byte
 	ackFrame    dot11.Ack
 	beaconFrame dot11.Beacon
-	beaconIEs   []dot11.IE // cached base [SSID, rates, DSParam]
-	nBeaconIEs  int        // length of the cached base
-	rsnIE       dot11.IE   // cached RSN element (RSN networks only)
-	probeIEs    []dot11.IE // cached probe-response IEs (read-only)
+	beaconIEs   []dot11.IE         // cached base [SSID, rates, DSParam]
+	nBeaconIEs  int                // length of the cached base
+	rsnIE       dot11.IE           // cached RSN element (RSN networks only)
+	probeIEs    []dot11.IE         // cached probe-response IEs (read-only)
+	probeResps  []*dot11.ProbeResp // sent probe responses, recycled by releaseTxJob
 	aidScratch  []uint16
 	ackFree     *ackJob
 	procFree    *procJob
@@ -789,9 +790,17 @@ func (s *Station) processProbeReq(p *dot11.ProbeReq) {
 	if want != "" && want != s.ssid {
 		return
 	}
-	// Response frames stay per-call allocations (several can sit in
-	// the transmit queue at once) but share the read-only IE cache.
-	resp := &dot11.ProbeResp{
+	// Several responses can sit in the transmit queue at once, so each
+	// has its own frame; releaseTxJob recycles it into probeResps. All
+	// of them share the read-only IE cache.
+	var resp *dot11.ProbeResp
+	if n := len(s.probeResps); n > 0 {
+		resp = s.probeResps[n-1]
+		s.probeResps = s.probeResps[:n-1]
+	} else {
+		resp = new(dot11.ProbeResp)
+	}
+	*resp = dot11.ProbeResp{
 		Header: dot11.Header{
 			Addr1: p.Addr2, Addr2: s.Addr, Addr3: s.Addr,
 		},

@@ -47,8 +47,13 @@ func (s *Station) newTxJob(f dot11.Frame, needAck bool, rate phy.Rate) *txJob {
 
 // releaseTxJob recycles a completed job. Safe at completeTx time: the
 // ACK-await handle has been cancelled or fired, and every deferral
-// chain ends in exactly one of the three callbacks.
+// chain ends in exactly one of the three callbacks. A probe response
+// goes back to processProbeReq's free list with it: the job held the
+// only reference to that frame.
 func (s *Station) releaseTxJob(j *txJob) {
+	if pr, ok := j.frame.(*dot11.ProbeResp); ok {
+		s.probeResps = append(s.probeResps, pr)
+	}
 	j.frame = nil
 	j.needAck = false
 	var zeroRate phy.Rate

@@ -66,7 +66,8 @@ func TestDeliveryAtCloseRange(t *testing.T) {
 	if end != phy.Airtime(phy.Rate24, 100) {
 		t.Fatalf("end = %v, want airtime", end)
 	}
-	m.Sched.Run()
+	for m.Sched.Step() {
+	}
 	if len(got) != 1 {
 		t.Fatalf("receptions = %d, want 1", len(got))
 	}
@@ -92,7 +93,8 @@ func TestNoDeliveryOutOfRange(t *testing.T) {
 	count := 0
 	rx.SetHandler(func(Reception) { count++ })
 	tx.Transmit(make([]byte, 50), phy.Rate24)
-	m.Sched.Run()
+	for m.Sched.Step() {
+	}
 	if count != 0 {
 		t.Fatal("frame delivered at 10 km")
 	}
@@ -107,7 +109,8 @@ func TestChannelIsolation(t *testing.T) {
 	rx6.SetHandler(func(Reception) { count++ })
 	rx5g.SetHandler(func(Reception) { count++ })
 	tx.Transmit(make([]byte, 50), phy.Rate24)
-	m.Sched.Run()
+	for m.Sched.Step() {
+	}
 	if count != 0 {
 		t.Fatal("cross-channel delivery")
 	}
@@ -124,13 +127,15 @@ func TestSleepingRadioHearsNothing(t *testing.T) {
 		t.Fatal("Asleep() = false")
 	}
 	tx.Transmit(make([]byte, 50), phy.Rate24)
-	m.Sched.Run()
+	for m.Sched.Step() {
+	}
 	if count != 0 {
 		t.Fatal("sleeping radio received a frame")
 	}
 	rx.Wake()
 	tx.Transmit(make([]byte, 50), phy.Rate24)
-	m.Sched.Run()
+	for m.Sched.Step() {
+	}
 	if count != 1 {
 		t.Fatalf("awake radio receptions = %d, want 1", count)
 	}
@@ -148,7 +153,8 @@ func TestTxBusy(t *testing.T) {
 	if !tx.Transmitting() {
 		t.Fatal("Transmitting() = false mid-frame")
 	}
-	m.Sched.Run()
+	for m.Sched.Step() {
+	}
 	if tx.Transmitting() {
 		t.Fatal("Transmitting() = true after frame end")
 	}
@@ -173,7 +179,8 @@ func TestCollisionBothLost(t *testing.T) {
 	// Overlapping equal-power transmissions: no capture possible.
 	a.Transmit(make([]byte, 500), phy.Rate24)
 	b.Transmit(make([]byte, 500), phy.Rate24)
-	m.Sched.Run()
+	for m.Sched.Step() {
+	}
 	if clean != 0 {
 		t.Fatalf("clean receptions = %d, want 0 (collision)", clean)
 	}
@@ -196,7 +203,8 @@ func TestCapture(t *testing.T) {
 	// below the capture margin, so the strong frame survives.
 	strong.Transmit(make([]byte, 500), phy.Rate24)
 	weak.Transmit(make([]byte, 500), phy.Rate24)
-	m.Sched.Run()
+	for m.Sched.Step() {
+	}
 	if clean != 1 {
 		t.Fatalf("clean receptions = %d, want 1 (capture)", clean)
 	}
@@ -218,7 +226,8 @@ func TestCaptureByStrongerLateFrame(t *testing.T) {
 	weak.Transmit(make([]byte, 500), phy.Rate24)
 	m.Sched.RunFor(10 * eventsim.Microsecond)
 	strong.Transmit(make([]byte, 200), phy.Rate24)
-	m.Sched.Run()
+	for m.Sched.Step() {
+	}
 	if cleanFrom != 1 {
 		t.Fatalf("strong late frame not captured (clean=%d)", cleanFrom)
 	}
@@ -239,7 +248,8 @@ func TestCCABusy(t *testing.T) {
 	if !tx.CCABusy() {
 		t.Fatal("own transmission should read busy")
 	}
-	m.Sched.Run()
+	for m.Sched.Step() {
+	}
 	if other.CCABusy() {
 		t.Fatal("CCA busy after medium cleared")
 	}
@@ -253,14 +263,16 @@ func TestStateTransitions(t *testing.T) {
 	var states []State
 	rx.OnStateChange(func(old, new State, at eventsim.Time) { states = append(states, new) })
 	tx.Transmit(make([]byte, 100), phy.Rate24)
-	m.Sched.Run()
+	for m.Sched.Step() {
+	}
 	if len(states) != 2 || states[0] != StateRX || states[1] != StateIdle {
 		t.Fatalf("rx states = %v, want [rx idle]", states)
 	}
 	var txStates []State
 	tx.OnStateChange(func(old, new State, at eventsim.Time) { txStates = append(txStates, new) })
 	tx.Transmit(make([]byte, 100), phy.Rate24)
-	m.Sched.Run()
+	for m.Sched.Step() {
+	}
 	if len(txStates) != 2 || txStates[0] != StateTX || txStates[1] != StateIdle {
 		t.Fatalf("tx states = %v, want [tx idle]", txStates)
 	}
@@ -299,7 +311,8 @@ func TestFERLossAtLongRange(t *testing.T) {
 	})
 	for i := 0; i < 200; i++ {
 		tx.Transmit(make([]byte, 1500), phy.Rate54) // fragile rate
-		m.Sched.Run()
+		for m.Sched.Step() {
+		}
 	}
 	if clean == 200 {
 		t.Fatalf("no frame errors at the edge of range (total=%d)", total)
@@ -315,7 +328,8 @@ func TestDeterministicReplay(t *testing.T) {
 		rx.SetHandler(func(r Reception) { rssis = append(rssis, r.RSSIDBm) })
 		for i := 0; i < 20; i++ {
 			tx.Transmit(make([]byte, 100), phy.Rate24)
-			m.Sched.Run()
+			for m.Sched.Step() {
+			}
 		}
 		return rssis
 	}
@@ -365,7 +379,8 @@ func BenchmarkTransmitDeliver(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tx.Transmit(frame, phy.Rate24)
-		m.Sched.Run()
+		for m.Sched.Step() {
+		}
 	}
 }
 
@@ -398,7 +413,8 @@ func TestHiddenTerminal(t *testing.T) {
 		}
 	})
 	b.Transmit(make([]byte, 1000), phy.Rate6)
-	m.Sched.Run()
+	for m.Sched.Step() {
+	}
 	if clean != 0 {
 		t.Fatalf("hidden-terminal collision delivered %d clean frames", clean)
 	}

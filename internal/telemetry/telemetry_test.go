@@ -313,7 +313,8 @@ func TestAttachScheduler(t *testing.T) {
 	rx := sched.Origin("radio.rx")
 	sched.ScheduleTagged(rx, 10, func() {})
 	sched.Schedule(20, func() {})
-	sched.Run()
+	for sched.Step() {
+	}
 	rep := reg.Snapshot()
 	if c := rep.Counter("sched.events_fired"); c == nil || c.Value != 2 {
 		t.Fatalf("events_fired = %+v", c)

@@ -35,7 +35,8 @@ func TestCaptureRecords(t *testing.T) {
 	m, tx, cap := sniffEnv()
 	wire, _ := dot11.Serialize(dot11.NewNullFrame(victimMAC, fakeMAC, fakeMAC, 5))
 	tx.Transmit(wire, phy.Rate24)
-	m.Sched.Run()
+	for m.Sched.Step() {
+	}
 	if cap.Len() != 1 {
 		t.Fatalf("captured = %d", cap.Len())
 	}
@@ -55,7 +56,8 @@ func TestCaptureSkipsCorrupt(t *testing.T) {
 	bad := append([]byte(nil), wire...)
 	bad[0] ^= 0xff
 	tx.Transmit(bad, phy.Rate24)
-	m.Sched.Run()
+	for m.Sched.Step() {
+	}
 	if cap.Len() != 1 {
 		t.Fatalf("captured = %d", cap.Len()) // delivered but FCS-broken bytes
 	}
@@ -75,7 +77,8 @@ func TestSummary(t *testing.T) {
 	for _, f := range frames {
 		wire, _ := dot11.Serialize(f)
 		tx.Transmit(wire, phy.Rate24)
-		m.Sched.Run()
+		for m.Sched.Step() {
+		}
 	}
 	sum := cap.Summary()
 	if sum["Acknowledgement"] != 2 || sum["Null function (No data)"] != 1 {
@@ -87,10 +90,12 @@ func TestTableRendering(t *testing.T) {
 	m, tx, cap := sniffEnv()
 	wire, _ := dot11.Serialize(dot11.NewNullFrame(victimMAC, fakeMAC, fakeMAC, 5))
 	tx.Transmit(wire, phy.Rate24)
-	m.Sched.Run()
+	for m.Sched.Step() {
+	}
 	wire2, _ := dot11.Serialize(&dot11.Ack{RA: fakeMAC})
 	tx.Transmit(wire2, phy.Rate24)
-	m.Sched.Run()
+	for m.Sched.Step() {
+	}
 
 	table := cap.Table(victimMAC)
 	if !strings.Contains(table, "Null function (No data)") {
@@ -116,7 +121,8 @@ func TestWritePcap(t *testing.T) {
 	m, tx, cap := sniffEnv()
 	wire, _ := dot11.Serialize(dot11.NewNullFrame(victimMAC, fakeMAC, fakeMAC, 1))
 	tx.Transmit(wire, phy.Rate24)
-	m.Sched.Run()
+	for m.Sched.Step() {
+	}
 
 	var buf bytes.Buffer
 	if err := cap.WritePcap(&buf); err != nil {
@@ -145,7 +151,8 @@ func TestClear(t *testing.T) {
 	m, tx, cap := sniffEnv()
 	wire, _ := dot11.Serialize(&dot11.Ack{RA: fakeMAC})
 	tx.Transmit(wire, phy.Rate24)
-	m.Sched.Run()
+	for m.Sched.Step() {
+	}
 	cap.Clear()
 	if cap.Len() != 0 {
 		t.Fatal("Clear did not drop records")
@@ -162,7 +169,8 @@ func TestPcapRoundTrip(t *testing.T) {
 	for _, f := range frames {
 		wire, _ := dot11.Serialize(f)
 		tx.Transmit(wire, phy.Rate24)
-		m.Sched.Run()
+		for m.Sched.Step() {
+		}
 	}
 	var buf bytes.Buffer
 	if err := cap.WritePcap(&buf); err != nil {

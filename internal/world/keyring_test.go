@@ -19,9 +19,9 @@ func TestPBKDF2BudgetPerStop(t *testing.T) {
 	root := eventsim.NewRNG(cfg.Seed)
 	city := BuildCity(root.Fork(), cfg.Scale)
 	stops := city.Stops(cfg.HouseholdsPerStop)
-	rngs := make([]*eventsim.RNG, len(stops))
+	seeds := make([]int64, len(stops))
 	for i := range stops {
-		rngs[i] = root.Fork()
+		seeds[i] = root.Int63()
 	}
 	total := 0
 	for i, stop := range stops {
@@ -31,7 +31,7 @@ func TestPBKDF2BudgetPerStop(t *testing.T) {
 				budget++
 			}
 		}
-		sh := runStop(rngs[i], i, stop, cfg)
+		sh := runStop(seeds[i], i, stop, cfg)
 		if sh.derivations > budget {
 			t.Errorf("stop %d: %d PBKDF2 derivations, budget %d (RSN households with clients)", i, sh.derivations, budget)
 		}

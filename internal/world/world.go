@@ -449,9 +449,9 @@ func DefaultConfig() Config {
 // neighbourhood, let clients associate and chatter, and run the
 // scanner on each 2.4 GHz channel; then accumulate the census.
 //
-// Stops run on a pool of cfg.Workers goroutines. Each stop's RNG is
-// pre-forked from the root seed in street order — the same fork
-// sequence a sequential drive performs — and each stop fills a
+// Stops run on a pool of cfg.Workers goroutines. Each stop's RNG seed
+// is pre-drawn from the root seed in street order — the same draws a
+// sequential drive's forks make — and each stop fills a
 // private result shard plus a private telemetry registry. Shards are
 // merged in stop-index order, so the Result (vendor maps, counters,
 // NonResponders order) and the merged telemetry are identical for
@@ -486,12 +486,13 @@ func Run(cfg Config) *Result {
 		Stops:         len(stops),
 	}
 
-	// Pre-fork every stop's RNG in street order so the seed stream is
-	// the one a sequential drive would consume, regardless of which
-	// worker runs which stop when.
-	rngs := make([]*eventsim.RNG, len(stops))
+	// Pre-draw every stop's RNG seed in street order — the draw
+	// rootRNG.Fork would make — so the seed stream is the one a
+	// sequential drive would consume, regardless of which worker runs
+	// which stop when. runStop mints the RNG on a pooled source.
+	seeds := make([]int64, len(stops))
 	for i := range stops {
-		rngs[i] = rootRNG.Fork()
+		seeds[i] = rootRNG.Int63()
 	}
 
 	start := cfg.StartStop
@@ -595,7 +596,7 @@ func Run(cfg Config) *Result {
 				if cancelled() {
 					return
 				}
-				merger.complete(i, runStop(rngs[i], i, stops[i], cfg))
+				merger.complete(i, runStop(seeds[i], i, stops[i], cfg))
 			})
 		}
 		wg.Wait()
@@ -604,7 +605,7 @@ func Run(cfg Config) *Result {
 			if cancelled() {
 				break
 			}
-			merger.complete(i, runStop(rngs[i], i, stops[i], cfg))
+			merger.complete(i, runStop(seeds[i], i, stops[i], cfg))
 		}
 	default:
 		jobs := make(chan int)
@@ -614,7 +615,7 @@ func Run(cfg Config) *Result {
 			go func() {
 				defer wg.Done()
 				for i := range jobs {
-					merger.complete(i, runStop(rngs[i], i, stops[i], cfg))
+					merger.complete(i, runStop(seeds[i], i, stops[i], cfg))
 				}
 			}()
 		}
@@ -754,15 +755,23 @@ func (res *Result) absorb(sh *stopResult) {
 var stopArenas = sync.Pool{New: func() any { return arena.New() }}
 
 // runStop simulates one neighbourhood scan into a private shard.
-// index is the stop's 0-based street-order position, which keys its
-// frame-log shard when recording or replaying.
-func runStop(rng *eventsim.RNG, index int, stop Stop, cfg Config) *stopResult {
+// seed is the stop's RNG seed, and index its 0-based street-order
+// position, which keys its frame-log shard when recording or
+// replaying.
+func runStop(seed int64, index int, stop Stop, cfg Config) *stopResult {
 	sh := &stopResult{
 		clientVendors: make(map[string]int),
 		apVendors:     make(map[string]int),
 	}
+	// Every random source of the stop — its own, the medium's, the
+	// fault injector's and each station's — is lent by one scope and
+	// reclaimed at teardown. Nothing simulates past this function, so
+	// no generator outlives its source; one that tried would panic.
+	var rngs eventsim.Scope
+	defer rngs.Release()
+	rng := rngs.NewRNG(seed)
 	sched := eventsim.NewScheduler()
-	med := radio.NewMedium(sched, rng.Fork(), radio.Config{
+	med := radio.NewMedium(sched, rngs.Fork(rng), radio.Config{
 		PathLoss:        radio.LogDistance{Exponent: 2.7},
 		ShadowSigmaDB:   3,
 		FadingSigmaDB:   1,
@@ -793,7 +802,7 @@ func runStop(rng *eventsim.RNG, index int, stop Stop, cfg Config) *stopResult {
 	// existed — and stays bit-identical to it.
 	faultsOn := cfg.Faults != nil && cfg.Faults.Enabled()
 	if faultsOn {
-		inj := faults.New(rng.Fork(), *cfg.Faults)
+		inj := faults.New(rngs.Fork(rng), *cfg.Faults)
 		med.SetFaultInjector(inj)
 		if sh.metrics != nil {
 			inj.InstrumentInto(sh.metrics)
@@ -828,7 +837,7 @@ func runStop(rng *eventsim.RNG, index int, stop Stop, cfg Config) *stopResult {
 	keys := new(crypto80211.Keyring)
 
 	for _, h := range stop.Households {
-		ap := mac.New(med, rng.Fork(), mac.Config{
+		ap := mac.New(med, rngs.Fork(rng), mac.Config{
 			Name: "ap-" + h.AP.MAC.String(), Addr: h.AP.MAC, Role: mac.RoleAP,
 			Profile: h.AP.Profile, SSID: h.AP.SSID, Passphrase: h.Passphrase,
 			Position: h.Pos, Band: h.Band, Channel: h.Channel, Keys: keys,
@@ -842,7 +851,7 @@ func runStop(rng *eventsim.RNG, index int, stop Stop, cfg Config) *stopResult {
 		}
 		for _, cl := range h.Clients {
 			pos := radio.Position{X: h.Pos.X + cl.Offset.X, Y: h.Pos.Y + cl.Offset.Y, Z: cl.Offset.Z}
-			st := mac.New(med, rng.Fork(), mac.Config{
+			st := mac.New(med, rngs.Fork(rng), mac.Config{
 				Name: "cl-" + cl.MAC.String(), Addr: cl.MAC, Role: mac.RoleClient,
 				Profile: cl.Profile, SSID: cl.SSID, Passphrase: h.Passphrase,
 				Position: pos, Band: h.Band, Channel: h.Channel, Keys: keys,

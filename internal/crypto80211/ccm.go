@@ -8,6 +8,7 @@ package crypto80211
 
 import (
 	"crypto/aes"
+	"crypto/cipher"
 	"crypto/subtle"
 	"errors"
 	"fmt"
@@ -26,17 +27,32 @@ const (
 // forged or corrupted.
 var ErrAuth = errors.New("crypto80211: message authentication failed")
 
-// ccm holds a keyed CCM instance.
+// ccm holds a keyed CCM instance: the AES key schedule plus scratch
+// blocks. The blocks live here, not on the stack, because the cipher
+// is an interface and every slice handed to it escapes; a ccm kept for
+// a session's lifetime therefore seals and opens without allocating.
+// A ccm is not safe for concurrent use.
 type ccm struct {
-	enc func(dst, src []byte)
+	block        cipher.Block
+	x, in, keyst [ccmBlockSize]byte
 }
 
 func newCCM(key []byte) (*ccm, error) {
+	c := new(ccm)
+	if err := c.init(key); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// init expands key into c's AES key schedule.
+func (c *ccm) init(key []byte) error {
 	block, err := aes.NewCipher(key)
 	if err != nil {
-		return nil, fmt.Errorf("crypto80211: %w", err)
+		return fmt.Errorf("crypto80211: %w", err)
 	}
-	return &ccm{enc: block.Encrypt}, nil
+	c.block = block
+	return nil
 }
 
 // b0 builds the first authentication block.
@@ -64,80 +80,104 @@ func ctrBlock(nonce []byte, i uint16) [ccmBlockSize]byte {
 	return a
 }
 
-// cbcMAC computes the CCM authentication tag state over the AAD and
-// plaintext.
-func (c *ccm) cbcMAC(nonce, aad, plaintext []byte) [ccmBlockSize]byte {
-	var x [ccmBlockSize]byte
-	b := b0(nonce, len(aad) > 0, len(plaintext))
-	c.enc(x[:], b[:])
+// cbcMAC leaves the CCM authentication tag state over the AAD and
+// plaintext in c.x.
+func (c *ccm) cbcMAC(nonce, aad, plaintext []byte) {
+	c.in = b0(nonce, len(aad) > 0, len(plaintext))
+	c.block.Encrypt(c.x[:], c.in[:])
 
 	if len(aad) > 0 {
 		// AAD length encoding for len < 2^16-2^8: two bytes.
-		var block [ccmBlockSize]byte
-		block[0] = byte(len(aad) >> 8)
-		block[1] = byte(len(aad))
-		n := copy(block[2:], aad)
-		for i := range block {
-			block[i] ^= x[i]
-		}
-		c.enc(x[:], block[:])
+		c.in = [ccmBlockSize]byte{byte(len(aad) >> 8), byte(len(aad))}
+		n := copy(c.in[2:], aad)
+		c.chain()
 		aad = aad[n:]
 		for len(aad) > 0 {
-			var blk [ccmBlockSize]byte
-			n := copy(blk[:], aad)
+			c.in = [ccmBlockSize]byte{}
+			n := copy(c.in[:], aad)
 			aad = aad[n:]
-			for i := range blk {
-				blk[i] ^= x[i]
-			}
-			c.enc(x[:], blk[:])
+			c.chain()
 		}
 	}
 
 	for len(plaintext) > 0 {
-		var blk [ccmBlockSize]byte
-		n := copy(blk[:], plaintext)
+		c.in = [ccmBlockSize]byte{}
+		n := copy(c.in[:], plaintext)
 		plaintext = plaintext[n:]
-		for i := range blk {
-			blk[i] ^= x[i]
-		}
-		c.enc(x[:], blk[:])
+		c.chain()
 	}
-	return x
+}
+
+// chain folds the block in c.in into the CBC-MAC state c.x.
+func (c *ccm) chain() {
+	for i := range c.in {
+		c.in[i] ^= c.x[i]
+	}
+	c.block.Encrypt(c.x[:], c.in[:])
 }
 
 // ctrXOR applies CCM counter-mode keystream (counters starting at 1)
 // to data in place.
 func (c *ccm) ctrXOR(nonce []byte, data []byte) {
-	var ks [ccmBlockSize]byte
 	for i := 0; len(data) > 0; i++ {
-		a := ctrBlock(nonce, uint16(i+1))
-		c.enc(ks[:], a[:])
+		c.in = ctrBlock(nonce, uint16(i+1))
+		c.block.Encrypt(c.keyst[:], c.in[:])
 		n := len(data)
 		if n > ccmBlockSize {
 			n = ccmBlockSize
 		}
 		for j := 0; j < n; j++ {
-			data[j] ^= ks[j]
+			data[j] ^= c.keyst[j]
 		}
 		data = data[n:]
 	}
 }
 
-// micFromState encrypts the CBC-MAC state with counter block 0.
-func (c *ccm) micFromState(nonce []byte, x [ccmBlockSize]byte) [MICLen]byte {
-	var s0 [ccmBlockSize]byte
-	a0 := ctrBlock(nonce, 0)
-	c.enc(s0[:], a0[:])
+// mic encrypts the CBC-MAC state in c.x with counter block 0.
+func (c *ccm) mic(nonce []byte) [MICLen]byte {
+	c.in = ctrBlock(nonce, 0)
+	c.block.Encrypt(c.keyst[:], c.in[:])
 	var mic [MICLen]byte
 	for i := 0; i < MICLen; i++ {
-		mic[i] = x[i] ^ s0[i]
+		mic[i] = c.x[i] ^ c.keyst[i]
 	}
 	return mic
 }
 
+// seal appends ciphertext||MIC of plaintext to dst, which must not
+// overlap plaintext. The nonce must be NonceLen bytes.
+func (c *ccm) seal(dst, nonce, plaintext, aad []byte) []byte {
+	c.cbcMAC(nonce, aad, plaintext)
+	mic := c.mic(nonce)
+	n := len(dst)
+	dst = append(dst, plaintext...)
+	c.ctrXOR(nonce, dst[n:])
+	return append(dst, mic[:]...)
+}
+
+// open decrypts and verifies ciphertext||MIC into a new slice,
+// returning the plaintext or ErrAuth. The nonce must be NonceLen
+// bytes.
+func (c *ccm) open(nonce, sealed, aad []byte) ([]byte, error) {
+	if len(sealed) < MICLen {
+		return nil, ErrAuth
+	}
+	plaintext := make([]byte, len(sealed)-MICLen)
+	copy(plaintext, sealed[:len(plaintext)])
+	c.ctrXOR(nonce, plaintext)
+	c.cbcMAC(nonce, aad, plaintext)
+	want := c.mic(nonce)
+	got := sealed[len(plaintext):]
+	if subtle.ConstantTimeCompare(want[:], got) != 1 {
+		return nil, ErrAuth
+	}
+	return plaintext, nil
+}
+
 // SealCCM encrypts and authenticates plaintext with the 16-byte key,
 // 13-byte nonce and additional authenticated data, returning
-// ciphertext||MIC.
+// ciphertext||MIC. It expands the key on every call; Session keeps
+// one expansion per key and is the path the simulator takes.
 func SealCCM(key, nonce, plaintext, aad []byte) ([]byte, error) {
 	if len(nonce) != NonceLen {
 		return nil, fmt.Errorf("crypto80211: nonce must be %d bytes, got %d", NonceLen, len(nonce))
@@ -146,17 +186,11 @@ func SealCCM(key, nonce, plaintext, aad []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	x := c.cbcMAC(nonce, aad, plaintext)
-	mic := c.micFromState(nonce, x)
-	out := make([]byte, len(plaintext)+MICLen)
-	copy(out, plaintext)
-	c.ctrXOR(nonce, out[:len(plaintext)])
-	copy(out[len(plaintext):], mic[:])
-	return out, nil
+	return c.seal(make([]byte, 0, len(plaintext)+MICLen), nonce, plaintext, aad), nil
 }
 
 // OpenCCM decrypts and verifies ciphertext||MIC, returning the
-// plaintext or ErrAuth.
+// plaintext or ErrAuth. Like SealCCM it expands the key on every call.
 func OpenCCM(key, nonce, sealed, aad []byte) ([]byte, error) {
 	if len(nonce) != NonceLen {
 		return nil, fmt.Errorf("crypto80211: nonce must be %d bytes, got %d", NonceLen, len(nonce))
@@ -168,14 +202,5 @@ func OpenCCM(key, nonce, sealed, aad []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	plaintext := make([]byte, len(sealed)-MICLen)
-	copy(plaintext, sealed[:len(plaintext)])
-	c.ctrXOR(nonce, plaintext)
-	x := c.cbcMAC(nonce, aad, plaintext)
-	want := c.micFromState(nonce, x)
-	got := sealed[len(plaintext):]
-	if subtle.ConstantTimeCompare(want[:], got) != 1 {
-		return nil, ErrAuth
-	}
-	return plaintext, nil
+	return c.open(nonce, sealed, aad)
 }

@@ -11,14 +11,20 @@ import (
 // frame body.
 const HeaderLen = 8
 
+// aadLen is the length of the AAD built from a three-address header.
+const aadLen = 22
+
 // ErrReplay is returned when a frame's packet number does not exceed
 // the last accepted one.
 var ErrReplay = errors.New("crypto80211: CCMP replay detected")
 
-// Session is one direction of a CCMP-protected link: a temporal key
-// plus transmit packet-number state and a receive replay window.
+// Session is one direction of a CCMP-protected link: a temporal key,
+// expanded into its AES key schedule once when the session is made,
+// plus transmit packet-number state and a receive replay window. A
+// Session is not safe for concurrent use.
 type Session struct {
 	tk     [16]byte
+	c      ccm
 	txPN   uint64
 	lastRx uint64
 	hasRx  bool
@@ -29,9 +35,12 @@ func NewSession(tk []byte) (*Session, error) {
 	if len(tk) != 16 {
 		return nil, fmt.Errorf("crypto80211: temporal key must be 16 bytes, got %d", len(tk))
 	}
-	var s Session
+	s := new(Session)
 	copy(s.tk[:], tk)
-	return &s, nil
+	if err := s.c.init(tk); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // buildNonce assembles the 13-byte CCMP nonce: priority, A2, PN.
@@ -54,8 +63,8 @@ func buildNonce(priority uint8, a2 dot11.MAC, pn uint64) [NonceLen]byte {
 // taken from Control() so the AAD is identical whether computed
 // before serialization (type/subtype still zero in the struct) or
 // after decoding.
-func buildAAD(d *dot11.Data) []byte {
-	aad := make([]byte, 22)
+func buildAAD(d *dot11.Data) [aadLen]byte {
+	var aad [aadLen]byte
 	fc := d.Control()
 	fc.Retry, fc.PowerMgmt, fc.MoreData = false, false, false
 	fc.Protected = true
@@ -101,6 +110,14 @@ func parseCCMPHeader(b []byte) (uint64, error) {
 // Encrypt protects a data frame in place: the payload is replaced by
 // CCMP header || ciphertext || MIC and the Protected flag is set.
 func (s *Session) Encrypt(d *dot11.Data) error {
+	return s.EncryptInto(d, nil)
+}
+
+// EncryptInto is Encrypt writing the protected payload into buf's
+// backing array when it has room, so a caller that recycles frames
+// reuses their payload buffers; buf's contents are discarded, and buf
+// must not overlap d.Payload.
+func (s *Session) EncryptInto(d *dot11.Data, buf []byte) error {
 	if d.Null {
 		return errors.New("crypto80211: null frames carry no body to protect")
 	}
@@ -109,15 +126,12 @@ func (s *Session) Encrypt(d *dot11.Data) error {
 	d.FC.Protected = true
 	nonce := buildNonce(d.TID, d.Addr2, pn)
 	aad := buildAAD(d)
-	sealed, err := SealCCM(s.tk[:], nonce[:], d.Payload, aad)
-	if err != nil {
-		return err
+	if need := HeaderLen + len(d.Payload) + MICLen; cap(buf) < need {
+		buf = make([]byte, 0, need)
 	}
 	hdr := ccmpHeader(pn)
-	out := make([]byte, 0, HeaderLen+len(sealed))
-	out = append(out, hdr[:]...)
-	out = append(out, sealed...)
-	d.Payload = out
+	out := append(buf[:0], hdr[:]...)
+	d.Payload = s.c.seal(out, nonce[:], d.Payload, aad[:])
 	return nil
 }
 
@@ -136,7 +150,7 @@ func (s *Session) Decrypt(d *dot11.Data) error {
 	}
 	nonce := buildNonce(d.TID, d.Addr2, pn)
 	aad := buildAAD(d)
-	plain, err := OpenCCM(s.tk[:], nonce[:], d.Payload[HeaderLen:], aad)
+	plain, err := s.c.open(nonce[:], d.Payload[HeaderLen:], aad[:])
 	if err != nil {
 		return err
 	}

@@ -16,8 +16,8 @@ import (
 // mgmtAAD builds the AAD for a robust management frame: frame
 // control (management type), the three addresses, masked sequence
 // control.
-func mgmtAAD(fc dot11.FrameControl, a1, a2, a3 dot11.MAC) []byte {
-	aad := make([]byte, 22)
+func mgmtAAD(fc dot11.FrameControl, a1, a2, a3 dot11.MAC) [aadLen]byte {
+	var aad [aadLen]byte
 	fc.Retry, fc.PowerMgmt, fc.MoreData = false, false, false
 	fc.Protected = true
 	v := fc.Uint16()
@@ -44,15 +44,10 @@ func (s *Session) EncryptDeauth(d *dot11.Deauth) error {
 	var reason [2]byte
 	reason[0] = byte(d.Reason)
 	reason[1] = byte(uint16(d.Reason) >> 8)
-	sealed, err := SealCCM(s.tk[:], nonce[:], reason[:], mgmtAAD(fc, d.Addr1, d.Addr2, d.Addr3))
-	if err != nil {
-		return err
-	}
+	aad := mgmtAAD(fc, d.Addr1, d.Addr2, d.Addr3)
 	hdr := ccmpHeader(pn)
-	body := make([]byte, 0, HeaderLen+len(sealed))
-	body = append(body, hdr[:]...)
-	body = append(body, sealed...)
-	d.ProtectedBody = body
+	body := append(make([]byte, 0, HeaderLen+len(reason)+MICLen), hdr[:]...)
+	d.ProtectedBody = s.c.seal(body, nonce[:], reason[:], aad[:])
 	return nil
 }
 
@@ -71,8 +66,8 @@ func (s *Session) DecryptDeauth(d *dot11.Deauth) error {
 	}
 	fc := d.Control()
 	nonce := buildNonce(mgmtNoncePriority, d.Addr2, pn)
-	plain, err := OpenCCM(s.tk[:], nonce[:], d.ProtectedBody[HeaderLen:],
-		mgmtAAD(fc, d.Addr1, d.Addr2, d.Addr3))
+	aad := mgmtAAD(fc, d.Addr1, d.Addr2, d.Addr3)
+	plain, err := s.c.open(nonce[:], d.ProtectedBody[HeaderLen:], aad[:])
 	if err != nil {
 		return err
 	}

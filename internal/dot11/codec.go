@@ -199,10 +199,13 @@ func frameFor(body []byte, dec *Decoder) (Frame, error) {
 // Decoder decodes frames into a pooled instance per frame type, so a
 // steady stream of decodes allocates nothing: the returned Frame is
 // valid only until the Decoder's next decode of the same type, and —
-// like every DecodeFromBytes — aliases the input buffer. Use one
-// Decoder per station (the simulator is single-threaded per stop) and
-// only for synchronous processing; retain by copying.
+// like every DecodeFromBytes — aliases the input buffer. A Decoder is
+// not safe for concurrent use. Several single-threaded consumers may
+// share one if each finishes reading its frame before any other
+// decodes; Decodes lets them check that. Retain by copying.
 type Decoder struct {
+	decodes uint64
+
 	ack       Ack
 	cts       CTS
 	rts       RTS
@@ -234,6 +237,7 @@ func (dec *Decoder) Decode(data []byte) (Frame, error) {
 // DecodeNoFCS parses a frame whose FCS has already been stripped into
 // the decoder's pooled instance for its type.
 func (dec *Decoder) DecodeNoFCS(body []byte) (Frame, error) {
+	dec.decodes++
 	f, err := frameFor(body, dec)
 	if err != nil {
 		return nil, err
@@ -243,6 +247,11 @@ func (dec *Decoder) DecodeNoFCS(body []byte) (Frame, error) {
 	}
 	return f, nil
 }
+
+// Decodes reports how many frames the decoder has been asked to parse,
+// failed parses included. A frame it returned is intact only while
+// this count has not moved since.
+func (dec *Decoder) Decodes() uint64 { return dec.decodes }
 
 // NeedsAck reports whether a frame of this type solicits an
 // acknowledgement: unicast management and data frames do; control

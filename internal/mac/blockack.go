@@ -27,6 +27,9 @@ func (s *Station) recvBurstFrame(d *dot11.Data) {
 	key := baKey{d.Addr2, d.TID}
 	st, ok := s.baRecv[key]
 	if !ok {
+		if s.baRecv == nil {
+			s.baRecv = make(map[baKey]*baRecvState)
+		}
 		st = &baRecvState{startSeq: d.Seq.Number, received: make(map[uint16]bool)}
 		s.baRecv[key] = st
 	}
@@ -40,6 +43,9 @@ func (s *Station) handleBAR(bar *dot11.BlockAckReq, solicitRate phy.Rate) {
 	key := baKey{bar.TA, bar.TID}
 	st, ok := s.baRecv[key]
 	if !ok {
+		if s.baRecv == nil {
+			s.baRecv = make(map[baKey]*baRecvState)
+		}
 		st = &baRecvState{startSeq: bar.StartSeq, received: make(map[uint16]bool)}
 		s.baRecv[key] = st
 	}

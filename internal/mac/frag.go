@@ -29,6 +29,9 @@ func (s *Station) handleFragment(d *dot11.Data, rx radio.Reception) []byte {
 	st := s.reasm[d.Addr2]
 	if d.Seq.Fragment == 0 {
 		st = &reasmState{seq: d.Seq.Number, buf: append([]byte(nil), d.Payload...), nextFrag: 1}
+		if s.reasm == nil {
+			s.reasm = make(map[dot11.MAC]*reasmState)
+		}
 		s.reasm[d.Addr2] = st
 		if !d.FC.MoreFrag {
 			delete(s.reasm, d.Addr2)

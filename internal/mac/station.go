@@ -2,6 +2,7 @@ package mac
 
 import (
 	"errors"
+	"fmt"
 
 	"politewifi/internal/crypto80211"
 	"politewifi/internal/dot11"
@@ -28,6 +29,12 @@ type Config struct {
 	// each (passphrase, SSID) derivation; nil gives the station a
 	// private keyring, made on first use.
 	Keys *crypto80211.Keyring
+	// Decoder parses the station's receptions. Stations sharing a
+	// decoder decode into the same pooled frames, which is safe while
+	// each finishes reading its frame before the next reception is
+	// decoded (the station checks this); nil gives the station its
+	// own.
+	Decoder *dot11.Decoder
 	// PMF enables 802.11w protected management frames: unicast
 	// deauth/disassoc are CCMP-protected, and unprotected ones from
 	// "the AP" are treated as forgeries. Control frames remain
@@ -68,7 +75,9 @@ type Station struct {
 	assocTimer eventsim.Handle
 	hs         *hsState
 
-	// AP state.
+	// AP state. This map and the five below start nil and are made on
+	// first write: most stations never touch most of them, and reads,
+	// ranges and deletes work on a nil map.
 	clients  map[dot11.MAC]*peer
 	tsfStart eventsim.Time
 
@@ -99,12 +108,13 @@ type Station struct {
 
 	// Zero-alloc hot-path state. dec parses every reception into
 	// pooled per-type frame structs (valid only until the next decode,
-	// so deferred host processing re-decodes at fire time);
-	// wireScratch backs outgoing serializations — safe to reuse
-	// because the medium copies transmitted bytes; the free lists
-	// recycle the per-event job objects with their pre-bound
-	// callbacks.
-	dec         dot11.Decoder
+	// so deferred host processing re-decodes at fire time; the decoder
+	// may be shared, see Config.Decoder); wireScratch backs outgoing
+	// serializations — safe to reuse because the medium copies
+	// transmitted bytes; the free lists recycle the per-event job
+	// objects with their pre-bound callbacks, and sent data frames
+	// with their payload buffers.
+	dec         *dot11.Decoder
 	wireScratch []byte
 	ackFrame    dot11.Ack
 	beaconFrame dot11.Beacon
@@ -113,6 +123,7 @@ type Station struct {
 	rsnIE       dot11.IE           // cached RSN element (RSN networks only)
 	probeIEs    []dot11.IE         // cached probe-response IEs (read-only)
 	probeResps  []*dot11.ProbeResp // sent probe responses, recycled by releaseTxJob
+	dataFree    []*dot11.Data      // sent SendData frames, recycled by releaseTxJob
 	aidScratch  []uint16
 	ackFree     *ackJob
 	procFree    *procJob
@@ -161,13 +172,8 @@ func New(m *radio.Medium, rng *eventsim.RNG, cfg Config) *Station {
 		ssid:       cfg.SSID,
 		passphrase: cfg.Passphrase,
 		keys:       cfg.Keys,
+		dec:        cfg.Decoder,
 		pmf:        cfg.PMF && cfg.Passphrase != "", // PMF needs keys
-		clients:    make(map[dot11.MAC]*peer),
-		blocklist:  make(map[dot11.MAC]bool),
-		dupCache:   make(map[dot11.MAC]uint16),
-		peerSNR:    make(map[dot11.MAC]float64),
-		baRecv:     make(map[baKey]*baRecvState),
-		reasm:      make(map[dot11.MAC]*reasmState),
 		cw:         15,
 		retryLimit: 3, // total transmissions per MPDU
 		ps: psState{
@@ -179,6 +185,9 @@ func New(m *radio.Medium, rng *eventsim.RNG, cfg Config) *Station {
 			guard:       500 * eventsim.Microsecond,
 			beaconWait:  3 * eventsim.Millisecond,
 		},
+	}
+	if s.dec == nil {
+		s.dec = new(dot11.Decoder)
 	}
 	s.Radio = m.NewRadio(cfg.Name, cfg.Position, cfg.Band, cfg.Channel)
 	s.Radio.SetHandler(s.onReceive)
@@ -228,7 +237,12 @@ func (s *Station) Session() *crypto80211.Session { return s.session }
 // Block adds a transmitter address to the MAC blocklist. The paper's
 // §2.1 experiment shows this is cosmetic: the frame is dropped at the
 // host, but the PHY has already acknowledged it.
-func (s *Station) Block(addr dot11.MAC) { s.blocklist[addr] = true }
+func (s *Station) Block(addr dot11.MAC) {
+	if s.blocklist == nil {
+		s.blocklist = make(map[dot11.MAC]bool)
+	}
+	s.blocklist[addr] = true
+}
 
 func (s *Station) nextSeq() uint16 {
 	s.seq = dot11.NextSeq(s.seq)
@@ -256,6 +270,7 @@ func (s *Station) onReceive(rx radio.Reception) {
 		}
 		return
 	}
+	defer s.checkDecodes(s.dec.Decodes())
 	ra := f.ReceiverAddress()
 	if !ra.Matches(s.Addr) {
 		// Not ours — but honour the NAV: the Duration field of
@@ -356,7 +371,9 @@ func (s *Station) fireProc(j *procJob) {
 	j.next = s.procFree
 	s.procFree = j
 	if f := s.reDecode(rx); f != nil {
+		mark := s.dec.Decodes()
 		s.macProcess(f, rx)
+		s.checkDecodes(mark)
 	}
 }
 
@@ -371,6 +388,17 @@ func (s *Station) reDecode(rx radio.Reception) dot11.Frame {
 	return f
 }
 
+// checkDecodes panics if the station's decoder has decoded anything
+// since it reported mark. A station calls it when it is done with a
+// frame from the decoder: a moved count means another reception
+// overwrote the pooled frame while it was still being read, which a
+// shared decoder must never allow.
+func (s *Station) checkDecodes(mark uint64) {
+	if n := s.dec.Decodes(); n != mark {
+		panic(fmt.Sprintf("mac: %s: the decoder parsed %d more frame(s) while this station was reading one", s.Name, n-mark))
+	}
+}
+
 // observeSNR folds a reception's SNR into the per-peer link estimate
 // (EWMA, α = 0.25).
 func (s *Station) observeSNR(peerAddr dot11.MAC, snrDB float64) {
@@ -380,6 +408,9 @@ func (s *Station) observeSNR(peerAddr dot11.MAC, snrDB float64) {
 	if prev, ok := s.peerSNR[peerAddr]; ok {
 		s.peerSNR[peerAddr] = 0.75*prev + 0.25*snrDB
 	} else {
+		if s.peerSNR == nil {
+			s.peerSNR = make(map[dot11.MAC]float64)
+		}
 		s.peerSNR[peerAddr] = snrDB
 	}
 }
@@ -564,6 +595,9 @@ func (s *Station) macProcess(f dot11.Frame, rx radio.Reception) {
 		key := hdr.Seq.Uint16()
 		if hdr.FC.Retry && s.dupCache[ta] == key {
 			return
+		}
+		if s.dupCache == nil {
+			s.dupCache = make(map[dot11.MAC]uint16)
 		}
 		s.dupCache[ta] = key
 	}
@@ -859,6 +893,9 @@ func (s *Station) processAuth(a *dot11.Auth) {
 		}
 		p := s.clients[a.Addr2]
 		if p == nil {
+			if s.clients == nil {
+				s.clients = make(map[dot11.MAC]*peer)
+			}
 			p = &peer{}
 			s.clients[a.Addr2] = p
 		}
@@ -979,44 +1016,52 @@ func (s *Station) SendData(to dot11.MAC, payload []byte) error {
 	if s.Role == RoleClient && !s.associated {
 		return errNotAssociated
 	}
-	d := &dot11.Data{
-		Header: dot11.Header{
-			Addr2: s.Addr,
-		},
-		Payload: append([]byte(nil), payload...),
+	// Reuse a sent frame and its payload buffer when one is free;
+	// releaseTxJob returns them once the frame is off the air.
+	var d *dot11.Data
+	var buf []byte
+	if n := len(s.dataFree); n > 0 {
+		d = s.dataFree[n-1]
+		s.dataFree = s.dataFree[:n-1]
+		buf = d.Payload[:0]
+		*d = dot11.Data{}
+	} else {
+		d = new(dot11.Data)
 	}
+	d.Addr2 = s.Addr
+	var sess *crypto80211.Session
 	switch s.Role {
 	case RoleClient:
 		d.FC.ToDS = true
 		d.Addr1 = s.bssid
 		d.Addr3 = to
-		if s.session != nil {
-			if err := s.session.Encrypt(d); err != nil {
-				return err
-			}
-		}
+		sess = s.session
 	case RoleAP:
 		d.FC.FromDS = true
 		d.Addr1 = to
 		d.Addr3 = s.Addr
-		if sess := s.sessionFor(to); sess != nil {
-			if err := sess.Encrypt(d); err != nil {
-				return err
-			}
+		sess = s.sessionFor(to)
+	}
+	if sess != nil {
+		d.Payload = payload
+		if err := sess.EncryptInto(d, buf); err != nil {
+			return err
 		}
-		if p, ok := s.clients[to]; ok && p.dozing {
-			// The peer is asleep: hold the frame and let the beacon
-			// TIM announce it.
-			job := s.newTxJob(d, true, s.DataRateFor(to))
-			if len(p.buffered) < 16 {
-				p.buffered = append(p.buffered, job)
-			} else {
-				s.Stats.TxFailed++
-			}
+	} else {
+		d.Payload = append(buf, payload...)
+	}
+	if p, ok := s.clients[to]; ok && s.Role == RoleAP && p.dozing {
+		// The peer is asleep: hold the frame and let the beacon TIM
+		// announce it.
+		if len(p.buffered) >= 16 {
+			s.Stats.TxFailed++
+			s.dataFree = append(s.dataFree, d)
 			return nil
 		}
+		p.buffered = append(p.buffered, s.newDataJob(d, to))
+		return nil
 	}
-	s.enqueue(s.newTxJob(d, true, s.DataRateFor(d.Addr1)))
+	s.enqueue(s.newDataJob(d, d.Addr1))
 	return nil
 }
 

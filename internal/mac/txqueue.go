@@ -17,10 +17,11 @@ type txJob struct {
 	rate     phy.Rate
 	attempts int
 	seqSet   bool
-	onDone   func(acked bool)
+	// sendData marks a SendData frame, which releaseTxJob recycles.
+	sendData bool
 
 	attemptFn func()
-	doneOKFn  func()
+	doneFn    func()
 	timeoutFn func()
 	next      *txJob
 }
@@ -33,7 +34,7 @@ func (s *Station) newTxJob(f dot11.Frame, needAck bool, rate phy.Rate) *txJob {
 		j = &txJob{}
 		jj := j
 		j.attemptFn = func() { s.attemptSend(jj) }
-		j.doneOKFn = func() { s.completeTx(jj, true) }
+		j.doneFn = func() { s.completeTx(jj) }
 		j.timeoutFn = func() { s.ackTimeout(jj) }
 	} else {
 		s.txFree = j.next
@@ -45,14 +46,28 @@ func (s *Station) newTxJob(f dot11.Frame, needAck bool, rate phy.Rate) *txJob {
 	return j
 }
 
+// newDataJob arms a job for a SendData frame to peer.
+func (s *Station) newDataJob(d *dot11.Data, peer dot11.MAC) *txJob {
+	j := s.newTxJob(d, true, s.DataRateFor(peer))
+	j.sendData = true
+	return j
+}
+
 // releaseTxJob recycles a completed job. Safe at completeTx time: the
 // ACK-await handle has been cancelled or fired, and every deferral
 // chain ends in exactly one of the three callbacks. A probe response
-// goes back to processProbeReq's free list with it: the job held the
-// only reference to that frame.
+// or a SendData frame goes back to its free list with it: the job held
+// the only reference to that frame. Other data frames (EAPOL, null)
+// are not recycled, and a job buffered for a dozing peer is not
+// released until it has been sent.
 func (s *Station) releaseTxJob(j *txJob) {
-	if pr, ok := j.frame.(*dot11.ProbeResp); ok {
-		s.probeResps = append(s.probeResps, pr)
+	switch f := j.frame.(type) {
+	case *dot11.ProbeResp:
+		s.probeResps = append(s.probeResps, f)
+	case *dot11.Data:
+		if j.sendData {
+			s.dataFree = append(s.dataFree, f)
+		}
 	}
 	j.frame = nil
 	j.needAck = false
@@ -60,7 +75,7 @@ func (s *Station) releaseTxJob(j *txJob) {
 	j.rate = zeroRate
 	j.attempts = 0
 	j.seqSet = false
-	j.onDone = nil
+	j.sendData = false
 	j.next = s.txFree
 	s.txFree = j
 }
@@ -124,7 +139,7 @@ func (s *Station) attemptSend(j *txJob) {
 	}
 	wire, err := dot11.AppendSerialize(s.wireScratch[:0], j.frame)
 	if err != nil {
-		s.completeTx(j, false)
+		s.completeTx(j)
 		return
 	}
 	s.wireScratch = wire[:0]
@@ -142,7 +157,7 @@ func (s *Station) attemptSend(j *txJob) {
 		s.Stats.TxRetries++
 	}
 	if !j.needAck {
-		s.sched.Schedule(end, j.doneOKFn)
+		s.sched.Schedule(end, j.doneFn)
 		return
 	}
 	// ACK timeout: SIFS + ACK airtime + propagation/processing slack.
@@ -160,7 +175,7 @@ func (s *Station) handleAckRx(a *dot11.Ack) {
 	s.awaitAck.Cancel()
 	s.awaitAck = eventsim.Handle{}
 	s.Stats.AcksReceived++
-	s.completeTx(j, true)
+	s.completeTx(j)
 }
 
 func (s *Station) ackTimeout(j *txJob) {
@@ -168,7 +183,7 @@ func (s *Station) ackTimeout(j *txJob) {
 	if j.attempts >= s.retryLimit {
 		s.Stats.TxFailed++
 		s.cw = 15
-		s.completeTx(j, false)
+		s.completeTx(j)
 		return
 	}
 	if s.cw < 1023 {
@@ -177,14 +192,11 @@ func (s *Station) ackTimeout(j *txJob) {
 	s.deferAndSend(j)
 }
 
-func (s *Station) completeTx(j *txJob, acked bool) {
+func (s *Station) completeTx(j *txJob) {
 	if s.txActive == j {
 		s.txActive = nil
 	}
 	s.cw = 15
-	if j.onDone != nil {
-		j.onDone(acked)
-	}
 	s.releaseTxJob(j)
 	s.psActivity()
 	s.kickTx()

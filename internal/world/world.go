@@ -146,6 +146,12 @@ func BuildCity(rng *eventsim.RNG, scale float64) *City {
 		}
 	}
 
+	nAPs := 0
+	for _, e := range apCensus {
+		nAPs += e.Count
+	}
+	city.Households = make([]Household, 0, nAPs)
+
 	idx := 0
 	const spacing = 25.0 // meters between households
 	const rowLen = 200   // households per street
@@ -280,9 +286,17 @@ type Result struct {
 	// same seed.
 	NonResponders []DeviceOutcome
 
-	Stops        int
-	SimPerStop   eventsim.Time
-	DriveMinutes float64 // modelled wall time of the drive
+	Stops      int
+	SimPerStop eventsim.Time
+	// DriveMinutes is the modelled wall time of the drive: the route
+	// driven at the configured speed plus the simulated time of every
+	// stop the result covers, mop-up visits included.
+	DriveMinutes float64
+
+	// driveH is the route's driving time in hours and dwell the summed
+	// simulated time of the covered stops; DriveMinutes is their sum.
+	driveH float64
+	dwell  eventsim.Time
 }
 
 // Total reports all discovered devices.
@@ -326,12 +340,20 @@ func (r *Result) Merge(next *Result) {
 	r.Inconclusive += next.Inconclusive
 	r.NonResponders = append(r.NonResponders, next.NonResponders...)
 	// The continuation owns the drive's fate and the route-wide
-	// figures (both runs model the identical full route).
+	// figures (both runs model the identical full route); the dwell
+	// adds up like the census.
 	r.Cancelled = next.Cancelled
 	r.StopsDone = next.StopsDone
 	r.Stops = next.Stops
 	r.SimPerStop = next.SimPerStop
-	r.DriveMinutes = next.DriveMinutes
+	r.driveH = next.driveH
+	r.dwell += next.dwell
+	r.setDriveMinutes()
+}
+
+// setDriveMinutes derives DriveMinutes from the route and the dwell.
+func (r *Result) setDriveMinutes() {
+	r.DriveMinutes = (r.driveH + r.dwell.Seconds()/3600) * 60
 }
 
 // Config parameterises a wardrive run.
@@ -530,7 +552,6 @@ func Run(cfg Config) *Result {
 	// live, deterministic progress. The emit order is stop-index order
 	// at every worker count, which is what makes the stream bytes, the
 	// merged registry, and the merged trace worker-count-invariant.
-	var totalSim eventsim.Time
 	totals := cfg.ResumeTotals
 	emit := func(i int, sh *stopResult) {
 		res.absorb(sh)
@@ -539,7 +560,6 @@ func Run(cfg Config) *Result {
 		}
 		cfg.Trace.MergeFrom(sh.tracer)
 		cfg.Record.WriteStop(sh.framelog)
-		totalSim += sh.simEnd
 		if cfg.Stream != nil {
 			delta := stream.Census{
 				Clients:          sh.clientsDiscovered,
@@ -570,7 +590,7 @@ func Run(cfg Config) *Result {
 			cfg.Progress(Progress{
 				Stop: i + 1, Stops: len(stops),
 				Devices: res.Total(), Responded: res.TotalResponded(),
-				Inconclusive: res.Inconclusive, SimTime: totalSim,
+				Inconclusive: res.Inconclusive, SimTime: res.dwell,
 			})
 		}
 	}
@@ -649,14 +669,13 @@ func Run(cfg Config) *Result {
 
 	res.SimPerStop = cfg.DwellPerChannel * eventsim.Time(len(scanPlan))
 	// Drive model: serpentine street distance between stop centroids
-	// at the configured speed, plus the dwell time at each stop.
+	// at the configured speed, plus the simulated time at each stop.
 	dist := 0.0
 	for i := 1; i < len(stops); i++ {
 		dist += radioDist(stops[i-1].Pos, stops[i].Pos)
 	}
-	driveH := dist / 1000 / cfg.VehicleSpeedKmh
-	dwellH := (res.SimPerStop.Seconds() * float64(len(stops))) / 3600
-	res.DriveMinutes = (driveH + dwellH) * 60
+	res.driveH = dist / 1000 / cfg.VehicleSpeedKmh
+	res.setDriveMinutes()
 	return res
 }
 
@@ -746,6 +765,7 @@ func (res *Result) absorb(sh *stopResult) {
 	res.APsResponded += sh.apsResponded
 	res.Inconclusive += sh.inconclusive
 	res.NonResponders = append(res.NonResponders, sh.nonResponders...)
+	res.dwell += sh.simEnd
 }
 
 // stopArenas pools frame-buffer arenas across stops: each in-flight
@@ -753,6 +773,12 @@ func (res *Result) absorb(sh *stopResult) {
 // the next stop instead of the garbage collector. Pool size tracks
 // the number of concurrently simulating stops (the worker count).
 var stopArenas = sync.Pool{New: func() any { return arena.New() }}
+
+// stopDecoders pools the frame decoder every station of a stop
+// shares. Only one station at a time simulates within a stop, and each
+// finishes reading a decoded frame before the next reception is
+// decoded (mac checks this), so one decoder serves them all.
+var stopDecoders = sync.Pool{New: func() any { return new(dot11.Decoder) }}
 
 // runStop simulates one neighbourhood scan into a private shard.
 // seed is the stop's RNG seed, and index its 0-based street-order
@@ -835,12 +861,15 @@ func runStop(seed int64, index int, stop Stop, cfg Config) *stopResult {
 	// this stop, so each RSN household's PMK is derived once here
 	// instead of once per handshake side.
 	keys := new(crypto80211.Keyring)
+	dec := stopDecoders.Get().(*dot11.Decoder)
+	defer stopDecoders.Put(dec)
 
 	for _, h := range stop.Households {
 		ap := mac.New(med, rngs.Fork(rng), mac.Config{
 			Name: "ap-" + h.AP.MAC.String(), Addr: h.AP.MAC, Role: mac.RoleAP,
 			Profile: h.AP.Profile, SSID: h.AP.SSID, Passphrase: h.Passphrase,
 			Position: h.Pos, Band: h.Band, Channel: h.Channel, Keys: keys,
+			Decoder: dec,
 		})
 		ap.SetMetrics(macMx)
 		devices = append(devices, liveDev{h.AP, ap})
@@ -855,6 +884,7 @@ func runStop(seed int64, index int, stop Stop, cfg Config) *stopResult {
 				Name: "cl-" + cl.MAC.String(), Addr: cl.MAC, Role: mac.RoleClient,
 				Profile: cl.Profile, SSID: cl.SSID, Passphrase: h.Passphrase,
 				Position: pos, Band: h.Band, Channel: h.Channel, Keys: keys,
+				Decoder: dec,
 			})
 			st.SetMetrics(macMx)
 			if h.Band == phy.Band5GHz {

@@ -170,6 +170,49 @@ func TestWardriveProbesEveryDevice(t *testing.T) {
 	}
 }
 
+// TestDriveMinutesCountsSimulatedTime: city 166000507 takes runStop's
+// extra visits at its stop 1 (channels 1 and 6, 50 ms each), so that
+// stop counts 6.1 s of the modelled drive, not the nominal 6 s. A
+// drive cancelled after stop 2 and resumed merges to the same figure.
+func TestDriveMinutesCountsSimulatedTime(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed, cfg.Scale = 166000507, 0.02
+	var perStop []eventsim.Time
+	var last eventsim.Time
+	cfg.Progress = func(p Progress) {
+		perStop = append(perStop, p.SimTime-last)
+		last = p.SimTime
+	}
+	res := Run(cfg)
+	if len(perStop) != res.Stops || perStop[1] != 6100*eventsim.Millisecond {
+		t.Fatalf("per-stop simulated time %v; want stop 1 at 6.1s", perStop)
+	}
+	nominal := res.SimPerStop * eventsim.Time(res.Stops)
+	if res.dwell != nominal+100*eventsim.Millisecond {
+		t.Fatalf("dwell %v, want %v plus the 100ms of extra visits", res.dwell, nominal)
+	}
+	if want := (res.driveH + res.dwell.Seconds()/3600) * 60; res.DriveMinutes != want {
+		t.Fatalf("DriveMinutes = %v, want %v", res.DriveMinutes, want)
+	}
+	if short := (res.driveH + nominal.Seconds()/3600) * 60; res.DriveMinutes <= short {
+		t.Fatalf("DriveMinutes = %v does not exceed the nominal %v", res.DriveMinutes, short)
+	}
+
+	part := DefaultConfig()
+	part.Seed, part.Scale, part.Workers = cfg.Seed, cfg.Scale, 1
+	part.Cancel, part.Progress = cancelAtStop(2, nil)
+	merged := Run(part)
+	if merged.StopsDone != 2 {
+		t.Fatalf("setup: cancel at stop 2 left StopsDone=%d", merged.StopsDone)
+	}
+	rest := DefaultConfig()
+	rest.Seed, rest.Scale, rest.StartStop = cfg.Seed, cfg.Scale, merged.StopsDone
+	merged.Merge(Run(rest))
+	if merged.DriveMinutes != res.DriveMinutes {
+		t.Fatalf("resumed drive DriveMinutes = %v, uninterrupted %v", merged.DriveMinutes, res.DriveMinutes)
+	}
+}
+
 func TestRunDefaultsFilled(t *testing.T) {
 	res := Run(Config{Seed: 5, Scale: 0.004, HouseholdsPerStop: 10,
 		DwellPerChannel: 800 * eventsim.Millisecond})

@@ -355,10 +355,13 @@ func (s *Scanner) verify(f dot11.Frame, rx radio.Reception) {
 			// verified response back.
 			s.metrics.ExchangeLatencyUS.ObserveTime(rx.Start - d.FirstProbe)
 		}
-		s.attacker.Radio.Medium().Tracer().Instant(s.attacker.Radio.Name,
-			"probe verified", rx.Start, 0, d.ExchangeID, map[string]string{
+		// Build the trace args only when tracing: an untraced drive
+		// verifies every probe and would allocate them for nothing.
+		if tr := s.attacker.Radio.Medium().Tracer(); tr != nil {
+			tr.Instant(s.attacker.Radio.Name, "probe verified", rx.Start, 0, d.ExchangeID, map[string]string{
 				"gap": (rx.Start - s.lastEnd).String(),
 			})
+		}
 	}
 }
 

@@ -91,8 +91,12 @@ func (s *Station) kickTx() {
 	if s.txActive != nil || len(s.txq) == 0 {
 		return
 	}
+	// Pop by shifting down, so the queue keeps its backing array and
+	// enqueue does not regrow it every time the queue drains.
 	s.txActive = s.txq[0]
-	s.txq = s.txq[1:]
+	n := copy(s.txq, s.txq[1:])
+	s.txq[n] = nil
+	s.txq = s.txq[:n]
 	s.deferAndSend(s.txActive)
 }
 

@@ -16,6 +16,16 @@
 // bytes, same rate). The first disagreement latches a positioned
 // DivergenceError — record index and byte offset, à la stream.PosError
 // — and the stop's medium goes inert so the drive still terminates.
+//
+// The codec is hand-written. Recorder encodes each record into a
+// buffer it reuses, byte for byte what json.Marshal writes, and Load
+// parses one value at a time with a scanner written for the schema.
+// encoding/json is the reference both are tested against: Load
+// accepts, rejects and positions exactly as a json.Decoder reading
+// into Record would, with one stricter shape. A tx "data" member that
+// is a JSON array of byte values (which encoding/json would take as
+// the bytes) is rejected; Data must be a base64 string or null, and
+// Recorder never writes anything else.
 package replay
 
 import (
@@ -97,6 +107,7 @@ type Recorder struct {
 	began   bool
 	err     error
 	records int
+	line    []byte // reused encoding buffer
 }
 
 // NewRecorder wraps w as a frame-log recorder.
@@ -128,7 +139,14 @@ func (r *Recorder) Begin(stops int) {
 		return
 	}
 	r.began = true
-	r.writeLine(Head{Schema: Schema, Stops: stops, Spec: r.spec})
+	// Written once per log, so the head keeps json.Marshal.
+	line, err := json.Marshal(Head{Schema: Schema, Stops: stops, Spec: r.spec})
+	if err != nil {
+		r.fail(err)
+		return
+	}
+	r.line = line
+	r.writeLine()
 }
 
 // WriteStop appends one stop's records, in their recorded order. The
@@ -145,26 +163,27 @@ func (r *Recorder) WriteStop(sl *StopLog) {
 		return
 	}
 	for i := range sl.recs {
-		if !r.writeLine(&sl.recs[i]) {
+		line, err := appendRecord(r.line[:0], &sl.recs[i])
+		r.line = line
+		if err != nil {
+			r.fail(err)
+			return
+		}
+		if !r.writeLine() {
 			return
 		}
 		r.records++
 	}
 }
 
-// writeLine marshals v as one NDJSON line; errors latch. Caller holds
-// the mutex.
-func (r *Recorder) writeLine(v any) bool {
+// writeLine writes r.line as one NDJSON line; errors latch. Caller
+// holds the mutex.
+func (r *Recorder) writeLine() bool {
 	if r.err != nil {
 		return false
 	}
-	buf, err := json.Marshal(v)
-	if err != nil {
-		r.fail(err)
-		return false
-	}
-	buf = append(buf, '\n')
-	if _, err := r.w.Write(buf); err != nil {
+	r.line = append(r.line, '\n')
+	if _, err := r.w.Write(r.line); err != nil {
 		r.fail(err)
 		return false
 	}
@@ -249,23 +268,28 @@ type Log struct {
 // records return a *PosError; a loaded Log is structurally sound (every
 // record is a well-formed TX xor CCA with an in-range stop index).
 func Load(r io.Reader) (*Log, error) {
-	dec := json.NewDecoder(r)
+	dec := newDecoder(r)
 	var head Head
-	if err := dec.Decode(&head); err != nil {
+	raw, err := dec.rawValue()
+	if err == nil {
+		// Read once per log, so the head keeps json.Unmarshal.
+		err = json.Unmarshal(raw, &head)
+	}
+	if err != nil {
 		if errors.Is(err, io.EOF) {
 			err = errors.New("empty log")
 		}
-		return nil, &PosError{Record: 0, Offset: dec.InputOffset(), Err: err}
+		return nil, &PosError{Record: 0, Offset: dec.end, Err: err}
 	}
 	if head.Schema != Schema {
 		return nil, &PosError{
-			Record: 0, Offset: dec.InputOffset(),
+			Record: 0, Offset: dec.end,
 			Err: fmt.Errorf("head schema %q (want %q)", head.Schema, Schema),
 		}
 	}
 	if head.Stops < 0 {
 		return nil, &PosError{
-			Record: 0, Offset: dec.InputOffset(),
+			Record: 0, Offset: dec.end,
 			Err: fmt.Errorf("head claims %d stops", head.Stops),
 		}
 	}
@@ -276,16 +300,16 @@ func Load(r io.Reader) (*Log, error) {
 	}
 	for n := 1; ; n++ {
 		var rec Record
-		if err := dec.Decode(&rec); err != nil {
+		if err := dec.record(&rec); err != nil {
 			if errors.Is(err, io.EOF) {
 				break
 			}
 			if errors.Is(err, io.ErrUnexpectedEOF) {
 				err = fmt.Errorf("truncated record: %w", err)
 			}
-			return nil, &PosError{Record: n, Offset: dec.InputOffset(), Err: err}
+			return nil, &PosError{Record: n, Offset: dec.end, Err: err}
 		}
-		off := dec.InputOffset()
+		off := dec.end
 		if rec.Stop < 0 || rec.Stop >= head.Stops {
 			return nil, &PosError{
 				Record: n, Offset: off,
@@ -395,13 +419,9 @@ func (c *Cursor) Diverge(format string, args ...any) {
 }
 
 // take consumes the next record; nil after divergence or when the
-// shard is exhausted (which latches).
-func (c *Cursor) take(what string) *logRec {
-	if c.err != nil {
-		return nil
-	}
-	if c.next >= len(c.recs) {
-		c.diverge(fmt.Sprintf("log exhausted after %d records: live run still wants %s", len(c.recs), what))
+// shard is exhausted, which the caller latches with exhausted.
+func (c *Cursor) take() *logRec {
+	if c.err != nil || c.next >= len(c.recs) {
 		return nil
 	}
 	lr := &c.recs[c.next]
@@ -409,10 +429,20 @@ func (c *Cursor) take(what string) *logRec {
 	return lr
 }
 
+// exhausted latches the divergence of a live run that wants another
+// event (what) than the shard holds. Callers build what only on this
+// path, once take has returned nil with no divergence latched.
+func (c *Cursor) exhausted(what string) {
+	c.diverge(fmt.Sprintf("log exhausted after %d records: live run still wants %s", len(c.recs), what))
+}
+
 // ReplayTx implements radio.FrameReplayer.
 func (c *Cursor) ReplayTx(src string, at eventsim.Time, data []byte, rate phy.Rate) (*radio.FrameTx, bool) {
-	lr := c.take(fmt.Sprintf("a transmission from %q at %d", src, at))
+	lr := c.take()
 	if lr == nil {
+		if c.err == nil {
+			c.exhausted(fmt.Sprintf("a transmission from %q at %d", src, at))
+		}
 		return nil, false
 	}
 	tx := lr.rec.TX
@@ -435,8 +465,11 @@ func (c *Cursor) ReplayTx(src string, at eventsim.Time, data []byte, rate phy.Ra
 
 // ReplayCCA implements radio.FrameReplayer.
 func (c *Cursor) ReplayCCA(src string, at eventsim.Time) (bool, bool) {
-	lr := c.take(fmt.Sprintf("a cca check by %q at %d", src, at))
+	lr := c.take()
 	if lr == nil {
+		if c.err == nil {
+			c.exhausted(fmt.Sprintf("a cca check by %q at %d", src, at))
+		}
 		return false, false
 	}
 	cca := lr.rec.CCA

@@ -13,10 +13,16 @@ const (
 	testCCA  = `{"stop":0,"cca":{"src":"cl-a","at":142000}}`
 )
 
-// TestLoadPositionedErrors pins every rejection path of Load to a
-// *PosError carrying the offending line index and the decoder's byte
-// offset.
-func TestLoadPositionedErrors(t *testing.T) {
+// positionedCases are Load's rejection paths, each with the line
+// index and byte offset it is reported at: the end of the offending
+// line, or the end of the last complete record when truncated.
+var positionedCases = func() []struct {
+	name   string
+	log    string
+	record int
+	offset int
+	want   string
+} {
 	tx := `"tx":{"src":"cl-a","start":1,"end":2,"data":"AA=="}`
 	badSchema := `{"schema":"politewifi.framelog/v0","stops":1}`
 	negStops := `{"schema":"politewifi.framelog/v1","stops":-1}`
@@ -24,9 +30,7 @@ func TestLoadPositionedErrors(t *testing.T) {
 	negStop := testHead + "\n" + `{"stop":-1,"cca":{"src":"cl-a","at":1}}`
 	both := testHead + "\n" + `{"stop":0,` + tx + `,"cca":{"src":"cl-a","at":1}}`
 	neither := testHead + "\n" + `{"stop":0}`
-	// Offsets are where the decoder stopped: the end of the offending
-	// line, or the end of the last complete record when truncated.
-	for _, tc := range []struct {
+	return []struct {
 		name   string
 		log    string
 		record int
@@ -41,7 +45,14 @@ func TestLoadPositionedErrors(t *testing.T) {
 		{"both-tx-and-cca", both + "\n", 1, len(both), "exactly one of tx/cca"},
 		{"neither-tx-nor-cca", neither + "\n", 1, len(neither), "exactly one of tx/cca"},
 		{"truncated-record", testHead + "\n" + `{"stop":0,"cca":{"src":"cl`, 1, len(testHead), "truncated record"},
-	} {
+	}
+}()
+
+// TestLoadPositionedErrors pins every rejection path of Load to a
+// *PosError carrying the offending line index and the decoder's byte
+// offset.
+func TestLoadPositionedErrors(t *testing.T) {
+	for _, tc := range positionedCases {
 		t.Run(tc.name, func(t *testing.T) {
 			l, err := Load(strings.NewReader(tc.log))
 			if err == nil {
